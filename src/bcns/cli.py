@@ -171,7 +171,12 @@ def initial_data(cfg: RunConfig):
     if cfg.initial == "taylor_green":
         v0 = taylor_green(grid, cfg.amp)
     elif cfg.initial.startswith("oscillatory:"):
-        eps = float(cfg.initial.split(":", 1)[1])
+        value = cfg.initial.split(":", 1)[1]
+        try:
+            eps = float(value)
+        except ValueError as exc:
+            raise ConfigError(f"initial preset 'oscillatory:' needs a number "
+                              f"after the colon, got {value!r}") from exc
         osc = oscillatory_data(grid, eps)
         stack = np.zeros((grid.d,) + grid.shape)
         stack[0] = osc.samples()

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,12 +38,10 @@ from .spectral import (
     dealias,
     divergence,
     forward_transform,
-    gradient,
     inv_laplacian,
     inverse_transform,
-    laplacian,
     lp_norm,
-    product_dealiased,
+    product_dealiased,  # noqa: F401  (bench/tests check the tracer rebinds it here)
 )
 
 
@@ -183,7 +182,11 @@ def acoustic_propagator(k2: np.ndarray, nu: float, dt: float):
 
 
 class _LinearPropagator:
-    """Per-grid tables applying the exact linear flow for one time step."""
+    """Per-grid tables applying the exact linear flow for one time step.
+
+    Instances are shared through :func:`_propagator`, so the tables are
+    read-only.
+    """
 
     def __init__(self, grid: Grid, mu: float, nu: float, dt: float):
         self.grid = grid
@@ -192,6 +195,9 @@ class _LinearPropagator:
         kmag = grid.kmag.copy()
         kmag[(0,) * grid.d] = 1.0
         self.khat = [grid.k[ax] / kmag for ax in range(grid.d)]
+        for table in (self.transverse, self.e11, self.e12, self.e21, self.e22,
+                      *self.khat):
+            table.setflags(write=False)
 
     def __call__(self, a_coeffs: np.ndarray, v_coeffs: np.ndarray):
         g = self.grid
@@ -205,59 +211,171 @@ class _LinearPropagator:
         return a_new, v_new
 
 
-def _viscous_terms(v: SpectralField, mu: float, lam: float) -> SpectralField:
-    """``mu Lap v + (mu + lam) grad div v`` (exact Fourier multipliers)."""
-    return laplacian(v) * mu + gradient(divergence(v)) * (mu + lam)
+@lru_cache(maxsize=2)
+def _propagator(grid: Grid, mu: float, nu: float, dt: float) -> _LinearPropagator:
+    """:class:`_LinearPropagator`, cached on ``(grid, mu, nu, dt)``.  Two
+    entries suffice: a run steps at one size for long stretches, broken by
+    single steps clipped to a snapshot time."""
+    return _LinearPropagator(grid, mu, nu, dt)
+
+
+# Real fields are evaluated in physical space with real transforms, which
+# read and write only the half spectrum 0 <= k_d <= N/2 of the last axis and
+# take the other half to be its conjugate.  The tendencies dealias every
+# field first, so the Nyquist planes (the only modes whose conjugate partner
+# is not on the lattice, where the linear flow and the Leray projection break
+# the symmetry) never enter; the blow-up guards read any state through its
+# Hermitian part, which gives exactly the real part of the complex inverse.
+
+def _half(grid: Grid, arr: np.ndarray) -> np.ndarray:
+    """View of ``arr`` on the half spectrum of the last axis."""
+    return arr[..., : grid.N // 2 + 1]
+
+
+def _half_multipliers(grid: Grid):
+    """Dealias mask, ``i k_j`` per axis and ``|k|^2`` on the half spectrum."""
+    return (_half(grid, grid.dealias_mask),
+            [1j * _half(grid, kj) for kj in grid.k],
+            _half(grid, grid.k2))
+
+
+def _to_samples(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real samples of a stack of half-spectrum coefficient arrays."""
+    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.d, 0)),
+                         norm="forward")
+
+
+def _to_half(samples: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half-spectrum coefficients of a stack of real sample arrays."""
+    return np.fft.rfftn(samples, axes=tuple(range(-grid.d, 0)), norm="forward")
+
+
+def _reflect(coeffs: np.ndarray, cols: slice, grid: Grid) -> np.ndarray:
+    """``c(-k)`` for the last-axis indices ``cols``: ``coeffs`` read at the
+    negated frequency of every axis (which must lie inside ``coeffs``)."""
+    neg = -np.arange(grid.N) % grid.N
+    out = coeffs[..., neg[cols]]
+    for ax in range(-grid.d, -1):
+        out = np.take(out, neg, axis=ax)
+    return out
+
+
+def _full_spectrum(half: np.ndarray, grid: Grid) -> np.ndarray:
+    """Coefficients on the whole lattice from the half spectrum, by
+    ``c(-k) = conj(c(k))``."""
+    h = grid.N // 2 + 1
+    full = np.empty(half.shape[:-1] + (grid.N,), dtype=np.complex128)
+    full[..., :h] = half
+    np.conj(_reflect(half, slice(h, grid.N), grid), out=full[..., h:])
+    return full
+
+
+def _real_samples(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """The real part of the complex inverse transform of ``coeffs`` (as
+    :func:`inverse_transform`), for any coefficients: the real inverse of
+    their Hermitian part ``(c(k) + conj(c(-k)))/2``."""
+    h = grid.N // 2 + 1
+    herm = 0.5 * (_half(grid, coeffs) + np.conj(_reflect(coeffs, slice(0, h), grid)))
+    return _to_samples(herm, grid)
 
 
 def _cns_tendency(a: SpectralField, v: SpectralField, params: PhysicalParams):
-    """Dealiased nonlinear remainder of the nonconservative system."""
+    """Dealiased nonlinear remainder of the nonconservative system.
+
+    One physical-space evaluation: the dealiased ``a``, ``v``, ``grad v``
+    and viscous term (and ``grad a`` when ``gamma != 2``) go to physical
+    space in one batched inverse, the coefficients ``a/(1+a)`` (and the
+    pressure-law coefficient) are 2/3-truncated before they multiply, and
+    the ``2d`` products come back in one batched forward transform.
+    """
     grid = a.grid
-    av = product_dealiased(a, v)
-    na = -divergence(av)
+    d = grid.d
+    mask, ik, k2 = _half_multipliers(grid)
+    ah = _half(grid, a.coeffs) * mask
+    vh = _half(grid, v.coeffs) * mask
+    divv = sum(ik[j] * vh[j] for j in range(d))
+    fields = [ah, *vh]
+    fields += [ik[j] * vh[i] for i in range(d) for j in range(d)]
+    fields += [-params.mu * k2 * vh[i] + (params.mu + params.lam) * ik[i] * divv
+               for i in range(d)]
+    pressure = params.gamma != 2.0
+    if pressure:
+        fields += [ik[i] * ah for i in range(d)]
+    s = _to_samples(np.stack(fields), grid)
+    a_s, v_s, grad_v, visc, grad_a = np.split(s, np.cumsum([1, d, d * d, d]))
+    a_s = a_s[0]
+    grad_v = grad_v.reshape((d, d) + grid.shape)  # [i, j] = d_j v_i
 
-    nv = -advect(v, v)
-    a_s = inverse_transform(dealias(a))
     dens = 1.0 + a_s
-    ratio = forward_transform(a_s / dens, grid)
-    visc = _viscous_terms(v, params.mu, params.lam)
-    nv = nv - product_dealiased(ratio, visc)
-    if params.gamma != 2.0:
+    coeffs = [a_s / dens]
+    if pressure:
         if params.gamma == 1.0:
-            coeff = -a_s / dens
+            coeffs.append(-a_s / dens)
         else:
-            coeff = (dens ** (params.gamma - 1.0) - 1.0 - a_s) / dens
-        nv = nv - product_dealiased(forward_transform(coeff, grid), gradient(a))
-    return na.coeffs, nv.coeffs
+            coeffs.append((dens ** (params.gamma - 1.0) - 1.0 - a_s) / dens)
+    coeffs = _to_samples(_to_half(np.stack(coeffs), grid) * mask, grid)
+
+    out = np.empty((2 * d,) + grid.shape)
+    out[:d] = a_s * v_s
+    out[d:] = -np.sum(v_s[None] * grad_v, axis=1) - coeffs[0] * visc
+    if pressure:
+        out[d:] -= coeffs[1] * grad_a
+    oh = _to_half(out, grid) * mask
+    na = -sum(ik[j] * oh[j] for j in range(d))
+    full = _full_spectrum(np.concatenate([na[None], oh[d:]]), grid)
+    return full[0], full[1:]
 
 
-def _check_cns_state(a: SpectralField, v: SpectralField, t: float,
-                     config: StepperConfig) -> np.ndarray:
-    """Blow-up guards; returns the density-deviation samples for reuse."""
-    a_s = inverse_transform(a)
-    if not np.all(np.isfinite(a_s)) or not np.all(np.isfinite(v.coeffs)):
+def _check_state(state: FlowState, config: StepperConfig,
+                 system: str = "cns") -> np.ndarray:
+    """Blow-up guards on the state's physical values, ``[a, v_1, ..., v_d]``
+    for "cns" and ``v`` for "ins", from one batched inverse transform;
+    returns them for the time-step bound."""
+    coeffs = (state.v.coeffs if system == "ins"
+              else np.concatenate([state.a.coeffs[None], state.v.coeffs]))
+    samples = _real_samples(coeffs, state.v.grid)
+    t = state.t
+    if not np.all(np.isfinite(samples)):
         raise BlowupError(t, "non-finite field values")
-    amax = float(np.max(np.abs(a_s)))
-    if amax > config.a_inf_max:
-        raise BlowupError(t, f"density deviation {amax:.3e} > {config.a_inf_max}")
-    if float(1.0 + np.min(a_s)) <= config.vacuum_floor:
-        raise BlowupError(t, f"density {1.0 + np.min(a_s):.3e} at vacuum guard")
-    if lp_norm(v, math.inf) > config.field_max:
+    if system == "cns":
+        a_s = samples[0]
+        amax = float(np.max(np.abs(a_s)))
+        if amax > config.a_inf_max:
+            raise BlowupError(t, f"density deviation {amax:.3e} > {config.a_inf_max}")
+        if float(1.0 + np.min(a_s)) <= config.vacuum_floor:
+            raise BlowupError(t, f"density {1.0 + np.min(a_s):.3e} at vacuum guard")
+    if _speed_max(samples, system) > config.field_max:
         raise BlowupError(t, "velocity magnitude overflow")
-    return a_s
+    return samples
+
+
+def _speed_max(samples: np.ndarray, system: str) -> float:
+    v_s = samples[1:] if system == "cns" else samples
+    return float(np.max(np.sqrt(np.sum(v_s * v_s, axis=0))))
 
 
 def step_cns(state: FlowState, params: PhysicalParams, dt: float,
-             config: StepperConfig = StepperConfig()) -> FlowState:
+             config: StepperConfig = StepperConfig(), *,
+             checked: bool = False) -> FlowState:
     """One Heun step of the compressible system through the exact linear flow.
 
     The spatial mean of ``a`` is conserved to roundoff: the nonlinear density
     tendency is a divergence and the zero mode of the linear propagator is
     the identity.
+
+    Precondition: ``a`` and ``v`` are real fields, i.e. their coefficients
+    inside the 2/3 box are Hermitian, ``c(-k) = conj(c(k))``.  The nonlinear
+    terms are evaluated with real transforms, which read only half of the
+    spectrum and take the other half to be its conjugate.  ``run`` rejects
+    initial data that breaks this, and each step keeps it to roundoff.
+
+    The input state goes through the blow-up guards unless ``checked`` says
+    the caller has done so (``run`` checks every state it steps from).
     """
     grid = state.a.grid
-    _check_cns_state(state.a, state.v, state.t, config)
-    prop = _LinearPropagator(grid, params.mu, params.nu, dt)
+    if not checked:
+        _check_state(state, config)
+    prop = _propagator(grid, params.mu, params.nu, dt)
     pa, pv = prop(state.a.coeffs, state.v.coeffs)
     if config.linear_only:
         return FlowState(SpectralField(grid, pa), SpectralField(grid, pv),
@@ -273,7 +391,18 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
 
 
 def _ins_tendency(V: SpectralField) -> np.ndarray:
-    return leray_project(-advect(V, V)).coeffs
+    """Projected transport term ``-P((V . grad) V)``: one batched inverse of
+    the dealiased ``[V, grad V]``, one forward transform of the product."""
+    grid = V.grid
+    d = grid.d
+    mask, ik, _ = _half_multipliers(grid)
+    vh = _half(grid, V.coeffs) * mask
+    s = _to_samples(np.stack([*vh] + [ik[j] * vh[i] for i in range(d)
+                                      for j in range(d)]), grid)
+    grad_v = s[d:].reshape((d, d) + grid.shape)  # [i, j] = d_j V_i
+    adv = np.sum(s[None, :d] * grad_v, axis=1)
+    adv_h = _to_half(adv, grid) * mask
+    return leray_project(SpectralField(grid, -_full_spectrum(adv_h, grid))).coeffs
 
 
 def step_ins(state: FlowState, mu: float, dt: float,
@@ -282,9 +411,13 @@ def step_ins(state: FlowState, mu: float, dt: float,
 
     The input velocity must be divergence-free; the output remains so
     because both the integrating factor and the projected nonlinearity
-    preserve the constraint.
+    preserve the constraint.  It must also be a real field, with Hermitian
+    coefficients inside the 2/3 box (see :func:`step_cns`).  A non-finite
+    velocity raises :class:`BlowupError`.
     """
     grid = state.v.grid
+    if not np.all(np.isfinite(state.v.coeffs)):
+        raise BlowupError(state.t, "non-finite field values")
     div_norm = lp_norm(divergence(state.v), 2)
     v_norm = lp_norm(state.v, 2)
     if div_norm > 1e-12 * max(v_norm, 1e-300):
@@ -344,16 +477,16 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     return forward_transform(np.stack([vx, vy, vz]), grid)
 
 
-def _adaptive_dt(state: FlowState, params: PhysicalParams | None,
+def _adaptive_dt(grid: Grid, samples: np.ndarray, params: PhysicalParams | None,
                  config: StepperConfig, system: str) -> float:
+    """Time step from the state's samples (as returned by :func:`_check_state`)."""
     if config.fixed_dt is not None:
         return config.fixed_dt
-    grid = state.v.grid
-    vmax = lp_norm(state.v, math.inf)
+    vmax = _speed_max(samples, system)
     dt_adv = grid.dx / vmax if vmax > 0 else math.inf
     dt_visc = math.inf
     if system == "cns" and not config.linear_only and params is not None:
-        a_s = inverse_transform(state.a)
+        a_s = samples[0]
         amax = float(np.max(np.abs(a_s / (1.0 + a_s))))
         if amax > 0:
             # explicit Heun stability for the variable-coefficient viscous
@@ -361,6 +494,18 @@ def _adaptive_dt(state: FlowState, params: PhysicalParams | None,
             k2max = float(np.max(grid.k2[grid.dealias_mask]))
             dt_visc = 2.0 / (params.nu * amax * k2max)
     return config.cfl * min(dt_adv, config.dt_max, dt_visc)
+
+
+def _require_real(f: SpectralField, name: str) -> None:
+    """Reject coefficients that are not Hermitian where the real transforms
+    of the steppers read them (inside the 2/3 box)."""
+    box = dealias(f)
+    defect = box.hermitian_defect()
+    scale = float(np.max(np.abs(box.coeffs)))
+    if defect > 1e-12 * scale:
+        raise SpectralError(
+            f"initial {name} is not a real field: Hermitian defect {defect:.3e} "
+            f"inside the 2/3 box (max |c| = {scale:.3e})")
 
 
 def run(initial: FlowState, params: PhysicalParams | None,
@@ -373,11 +518,18 @@ def run(initial: FlowState, params: PhysicalParams | None,
     unchanged.  When ``snap_times`` is given, steps are clipped so states are
     recorded exactly at those times (shared-time comparisons across runs);
     otherwise snapshots are taken every ``config.snapshot_stride`` steps.
-    Returns the trajectory with a termination cause of "horizon" or
-    "blowup"; blow-ups are recorded as events, not raised.
+    The initial fields must be real (Hermitian coefficients inside the 2/3
+    box), else :class:`SpectralError` is raised.  Every state goes through
+    the blow-up guards before it is stepped from or recorded.  Returns the
+    trajectory with a termination cause of "horizon" or "blowup"; blow-ups
+    are recorded as events, not raised.
     """
     if system not in ("cns", "ins"):
         raise SpectralError(f"unknown system '{system}'")
+    _require_real(initial.v, "velocity")
+    if system == "cns":
+        _require_real(initial.a, "density")
+    grid = initial.v.grid
     state = initial
     times = [state.t]
     states = [state]
@@ -388,32 +540,33 @@ def run(initial: FlowState, params: PhysicalParams | None,
         pending = None
     steps = 0
     terminated = "horizon"
-    while state.t < horizon - 1e-12:
-        dt = _adaptive_dt(state, params, config, system)
-        dt = min(dt, horizon - state.t)
-        if pending:
-            dt = min(dt, pending[0] - state.t)
-        dt = float(dt)
-        try:
+    try:
+        samples = _check_state(state, config, system)
+        while state.t < horizon - 1e-12:
+            dt = _adaptive_dt(grid, samples, params, config, system)
+            dt = min(dt, horizon - state.t)
+            if pending:
+                dt = min(dt, pending[0] - state.t)
+            dt = float(dt)
             if system == "cns":
-                state = step_cns(state, params, dt, config)
+                state = step_cns(state, params, dt, config, checked=True)
             else:
                 state = step_ins(state, params.mu if params else 1.0, dt, config)
-        except BlowupError as exc:
-            events.append((state.t, f"blowup:{exc.reason}"))
-            terminated = "blowup"
-            break
-        steps += 1
-        record = False
-        if pending is not None:
-            if pending and abs(state.t - pending[0]) < 1e-10:
-                pending.pop(0)
+            samples = _check_state(state, config, system)
+            steps += 1
+            record = False
+            if pending is not None:
+                if pending and abs(state.t - pending[0]) < 1e-10:
+                    pending.pop(0)
+                    record = True
+            elif steps % config.snapshot_stride == 0:
                 record = True
-        elif steps % config.snapshot_stride == 0:
-            record = True
-        if record or state.t >= horizon - 1e-12:
-            if abs(state.t - times[-1]) > 1e-13:
-                times.append(state.t)
-                states.append(state)
+            if record or state.t >= horizon - 1e-12:
+                if abs(state.t - times[-1]) > 1e-13:
+                    times.append(state.t)
+                    states.append(state)
+    except BlowupError as exc:
+        events.append((state.t, f"blowup:{exc.reason}"))
+        terminated = "blowup"
     events.append((state.t, f"end:{terminated}"))
     return Trajectory(times, states, events, terminated)

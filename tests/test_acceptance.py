@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Criteria 1 and 2 run the full viscosity sweep (d=2, N=64, T=2); expect about
-two minutes for the whole module.  Run with ``pytest tests/test_acceptance.py -v -s``
+a minute for the whole module.  Run with ``pytest tests/test_acceptance.py -v -s``
 to see the per-criterion lines as they complete.
 """
 

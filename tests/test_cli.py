@@ -17,7 +17,7 @@ from bcns.cli import (
 )
 from bcns.io import write_snapshot
 from bcns.lemmas import check_oscillatory_scaling, oscillatory_norm
-from bcns.spectral import forward_transform, make_grid
+from bcns.spectral import SpectralField, forward_transform, make_grid
 
 
 SWEEP_CFG = """
@@ -249,3 +249,27 @@ def test_oscillatory_preset_matches_suite_table(tmp_path):
 
     want = oscillatory_norm(oscillatory_data(grid, 0.25), 4.0, 1.0, b)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_malformed_oscillatory_preset_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text("N = 16\ninitial = oscillatory:abc\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+    rc = main(["simulate", "--config", str(cfgfile)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'abc'" in err
+
+
+def test_non_hermitian_file_initial_data_exits_2(tmp_path, capsys):
+    g = make_grid(2, 16)
+    c = np.zeros((2,) + g.shape, dtype=complex)
+    c[0][1, 0] = 0.5  # cos-like mode without its conjugate partner at -k
+    snap = tmp_path / "v0.snap"
+    write_snapshot(snap, SpectralField(g, c), 0.0)
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text(f"N = 16\nT = 0.1\ninitial = file:{snap}\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+    rc = main(["simulate", "--config", str(cfgfile)])
+    assert rc == 2
+    assert "not a real field" in capsys.readouterr().err

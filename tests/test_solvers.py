@@ -1,14 +1,24 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bcns.calculus import compressible_project, leray_project
+from bcns.calculus import advect, compressible_project, leray_project
+from bcns.lemmas import random_field
 from bcns.solvers import (
     BlowupError,
     FlowState,
     PhysicalParams,
     StepperConfig,
+    _cns_tendency,
+    _ins_tendency,
+    _LinearPropagator,
+    _propagator,
+    _real_samples,
     acoustic_propagator,
     kinetic_energy,
     pressure_terms,
@@ -21,11 +31,15 @@ from bcns.solvers import (
 from bcns.spectral import (
     SpectralError,
     SpectralField,
+    dealias,
     divergence,
     forward_transform,
+    gradient,
     inverse_transform,
+    laplacian,
     lp_norm,
     make_grid,
+    product_dealiased,
     zeros,
 )
 
@@ -384,3 +398,157 @@ def test_linear_single_mode_density_peak_is_one_over_nu():
         peaks.append(got)
     assert all(b > a for a, b in zip(peaks, peaks[1:])), peaks
     assert abs(peaks[-1] - 1.0) <= 1e-3
+
+
+def _product_chain_cns_tendency(a, v, params):
+    # oracle: the nonlinear remainder as a chain of dealiased products
+    grid = a.grid
+    na = -divergence(product_dealiased(a, v))
+    nv = -advect(v, v)
+    a_s = inverse_transform(dealias(a))
+    dens = 1.0 + a_s
+    ratio = forward_transform(a_s / dens, grid)
+    visc = laplacian(v) * params.mu + gradient(divergence(v)) * (params.mu + params.lam)
+    nv = nv - product_dealiased(ratio, visc)
+    if params.gamma != 2.0:
+        if params.gamma == 1.0:
+            coeff = -a_s / dens
+        else:
+            coeff = (dens ** (params.gamma - 1.0) - 1.0 - a_s) / dens
+        nv = nv - product_dealiased(forward_transform(coeff, grid), gradient(a))
+    return na.coeffs, nv.coeffs
+
+
+def _random_state(d, N, seed=5):
+    g = make_grid(d, N)
+    rng = np.random.default_rng(seed)
+    a = random_field(g, rng)
+    a = a * (0.4 / lp_norm(a, math.inf))
+    return a, random_field(g, rng, vector=True)
+
+
+def _rel_diff(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+def test_cns_tendency_matches_product_chain(d, N, gamma):
+    a, v = _random_state(d, N)
+    params = PhysicalParams(mu=0.7, lam=1.3, gamma=gamma)
+    na, nv = _cns_tendency(a, v, params)
+    want_a, want_v = _product_chain_cns_tendency(a, v, params)
+    assert _rel_diff(na, want_a) <= 1e-13
+    assert _rel_diff(nv, want_v) <= 1e-13
+
+
+@pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+def test_ins_tendency_matches_projected_advection(d, N):
+    _, v = _random_state(d, N)
+    V = leray_project(v)
+    want = leray_project(-advect(V, V)).coeffs
+    assert _rel_diff(_ins_tendency(V), want) <= 1e-13
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+def test_guard_samples_equal_the_complex_inverse_for_any_coefficients(d, N):
+    # the guards read states whose Nyquist planes need not be Hermitian
+    g = make_grid(d, N)
+    rng = np.random.default_rng(2)
+    c = rng.standard_normal((d + 1,) + g.shape) + 1j * rng.standard_normal(
+        (d + 1,) + g.shape)
+    want = inverse_transform(SpectralField(g, c))
+    assert np.max(np.abs(_real_samples(c, g) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_cached_propagator_steps_bit_identical_to_fresh_build():
+    a, v = _random_state(2, 32)
+    st = FlowState(a * 0.5, v * 0.3, 0.0)
+    params = PhysicalParams(mu=1.0, lam=8.0, gamma=1.4)
+    _propagator.cache_clear()
+    fresh = step_cns(st, params, 3e-3)
+    hits = _propagator.cache_info().hits
+    cached = step_cns(st, params, 3e-3)
+    assert _propagator.cache_info().hits == hits + 1
+    assert np.array_equal(fresh.a.coeffs, cached.a.coeffs)
+    assert np.array_equal(fresh.v.coeffs, cached.v.coeffs)
+
+
+def test_propagator_cache_never_returns_a_stale_table():
+    g16, g32 = make_grid(2, 16), make_grid(2, 32)
+    keys = [(g32, 1.0, 10.0, 1e-3), (g32, 1.0, 40.0, 1e-3),
+            (g32, 1.0, 40.0, 2e-3), (g32, 2.0, 40.0, 2e-3),
+            (g16, 2.0, 40.0, 2e-3), (g32, 1.0, 10.0, 1e-3)]
+    for key in keys:
+        got = _propagator(*key)
+        want = _LinearPropagator(*key)
+        assert got.grid == key[0]
+        for name in ("transverse", "e11", "e12", "e21", "e22"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (key, name)
+        with pytest.raises(ValueError):
+            got.e11[(0,) * key[0].d] = 0.0  # shared tables are read-only
+
+
+def test_run_rejects_non_hermitian_initial_data():
+    g = _grid()
+    params = PhysicalParams(mu=1.0, lam=0.0)
+    v = taylor_green(g, 0.5).coeffs.copy()
+    v[0][1, 2] += 0.1j  # c(-1, -2) keeps its value: no longer conjugate
+    bad_v = SpectralField(g, v)
+    for system in ("cns", "ins"):
+        with pytest.raises(SpectralError, match="not a real field"):
+            run(FlowState(zeros(g), bad_v, 0.0), params, StepperConfig(), 0.1,
+                system=system)
+    a = zeros(g).coeffs
+    a[2, 0] = 0.01
+    with pytest.raises(SpectralError, match="density"):
+        run(FlowState(SpectralField(g, a), taylor_green(g, 0.5), 0.0), params,
+            StepperConfig(), 0.1)
+
+
+def test_run_guards_the_state_of_its_last_step():
+    # one linear step compresses a = 0 to a deviation above a_inf_max; the
+    # state after the last step must end the run as a blow-up
+    g = _grid()
+    x, _ = g.meshes()
+    v0 = forward_transform(
+        np.stack([-10.0 * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
+    for cfg in (StepperConfig(linear_only=True, fixed_dt=0.2),
+                StepperConfig(fixed_dt=0.2)):
+        traj = run(FlowState(zeros(g), v0, 0.0), PhysicalParams(mu=1.0, lam=0.0),
+                   cfg, 0.2)
+        assert traj.terminated == "blowup"
+        assert traj.times == [0.0]  # the bad state is not recorded
+        assert any(ev.startswith("blowup:density deviation")
+                   for _, ev in traj.events)
+
+
+def test_incompressible_run_with_nan_ends_blowup():
+    g = _grid()
+    c = taylor_green(g).coeffs.copy()
+    c[0][1, 1] = np.nan
+    st = FlowState(zeros(g), SpectralField(g, c), 0.0)
+    with pytest.raises(BlowupError, match="non-finite"):
+        step_ins(st, 1.0, 0.01)
+    traj = run(st, PhysicalParams(mu=1.0, lam=0.0), StepperConfig(), 0.1,
+               system="ins")
+    assert traj.terminated == "blowup"
+    assert traj.times == [0.0]  # no non-finite state is stepped to or recorded
+
+
+def test_package_and_one_step_do_not_import_scipy():
+    # importing scipy costs a third of a second and ~27 MB; the solver
+    # must stay on numpy.fft
+    code = ("import sys, bcns\n"
+            "from bcns.solvers import FlowState, PhysicalParams, step_cns, taylor_green\n"
+            "from bcns.spectral import make_grid, zeros\n"
+            "g = make_grid(2, 16)\n"
+            "step_cns(FlowState(zeros(g), taylor_green(g), 0.0),"
+            " PhysicalParams(mu=1.0, lam=0.0, gamma=1.4), 1e-3)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
