@@ -38,7 +38,6 @@ from .solvers import (
     PhysicalParams,
     StepperConfig,
     Trajectory,
-    pressure_terms,
     run,
     step_cns,
     step_heat,

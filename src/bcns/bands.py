@@ -58,8 +58,9 @@ class BesovIndex:
     r: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.p < 1 or self.r < 1:
-            raise SpectralError(f"Besov indices need p, r >= 1, got {self}")
+        if not (math.isfinite(self.s) and self.p >= 1 and self.r >= 1):
+            raise SpectralError(f"Besov indices need a finite s and p, r >= 1, "
+                                f"got {self}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,12 @@ def besov_norm(f: SpectralField, idx: BesovIndex, bands: DyadicBands) -> float:
     The mean is excluded (homogeneous space); vectors use the pointwise
     Euclidean magnitude inside the ``L^p`` norms.
     """
-    norms = band_lp_norms(f, idx.p, bands)
+    return besov_sum(band_lp_norms(f, idx.p, bands), idx, bands)
+
+
+def besov_sum(norms: np.ndarray, idx: BesovIndex, bands: DyadicBands) -> float:
+    """``l^r`` over j of ``2^{js} norms[j]`` for a band table ordered by j
+    (``idx.p`` is not read: the table already holds the ``L^p`` norms)."""
     weights = 2.0 ** (idx.s * np.arange(bands.j_min, bands.j_max + 1))
     terms = weights * norms
     if math.isinf(idx.r):
@@ -173,16 +179,9 @@ def chemin_lerner_norm(times, fields, q: float, idx: BesovIndex,
         raise SpectralError("snapshot times must be nondecreasing")
     if not math.isinf(q) and len(fields) < 2:
         raise SpectralError("time quadrature needs at least 2 snapshots for q < inf")
-    per_band = []
-    for f in fields:
-        per_band.append(band_lp_norms(f, idx.p, bands))
-    table = np.array(per_band)  # shape (n_times, n_bands)
+    table = np.array([band_lp_norms(f, idx.p, bands) for f in fields])  # (times, bands)
     if math.isinf(q):
         band_time = np.max(table, axis=0)
     else:
         band_time = np.trapezoid(table**q, times, axis=0) ** (1.0 / q)
-    weights = 2.0 ** (idx.s * np.arange(bands.j_min, bands.j_max + 1))
-    terms = weights * band_time
-    if math.isinf(idx.r):
-        return float(np.max(terms))
-    return float(np.sum(terms**idx.r) ** (1.0 / idx.r))
+    return besov_sum(band_time, idx, bands)

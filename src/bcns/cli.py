@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lemmas as lemma_suite
-from .bands import BesovIndex, band_lp_norms, besov_norm, build_partition
+from .bands import BesovIndex, band_lp_norms, besov_sum, build_partition
 from .calculus import leray_project
 from .diagnostics import SweepResult, fit_rate, limit_error, norm_ledger
 from .io import SnapshotError, read_snapshot, write_snapshot
@@ -77,7 +77,6 @@ class RunConfig:
     a_inf_max: float = 0.9
     trials: int = 100
     lemmas: str = "all"
-    test_stub: str = ""
 
     def resolved_nu(self) -> float:
         if self.nu is not None:
@@ -101,8 +100,7 @@ _CONVERTERS = {
     "snapshots": int, "seed": int, "initial": str, "amp": float,
     "compressible_amp": float, "a0_file": str, "output_dir": str,
     "system": str, "write_snapshots": str, "vacuum_floor": float,
-    "a_inf_max": float, "trials": int, "lemmas": str, "test_stub": str,
-    "nu_list": None,
+    "a_inf_max": float, "trials": int, "lemmas": str, "nu_list": None,
 }
 
 
@@ -293,11 +291,8 @@ def sweep_once(cfg: RunConfig):
         params = cfg.params(nu)
         # resolve the fast acoustic transient (rate ~ nu on the data modes)
         member_cfg = replace(stepcfg, dt_max=min(stepcfg.dt_max, 0.8 / nu))
-        if cfg.test_stub == "identical":
-            traj = traj_ins
-        else:
-            traj = run(FlowState(a0, v0, 0.0), params, member_cfg, cfg.T,
-                       system="cns", snap_times=snap_times)
+        traj = run(FlowState(a0, v0, 0.0), params, member_cfg, cfg.T,
+                   system="cns", snap_times=snap_times)
         if traj.terminated != "horizon":
             excluded.append((nu, traj.events[-2][1]))
             print(f"sweep: nu={nu:g} excluded ({traj.events[-2][1]})",
@@ -378,14 +373,14 @@ def cmd_norms(snapshot: str, s: float, p: float, r: float) -> int:
     except (SnapshotError, OSError) as exc:
         print(f"norms: {exc}", file=sys.stderr)
         return 2
-    bands = build_partition(f.grid)
     idx = BesovIndex(s, p, r)
+    bands = build_partition(f.grid)
     norms = band_lp_norms(f, p, bands)
     print(f"# snapshot t={t!r} d={f.grid.d} N={f.grid.N} rank={f.ncomp}")
     print(f"#    j   2^(js)*||Delta_j f||_p   (s={s}, p={p}, r={r})")
     for j, n in zip(bands.j_range, norms):
         print(f"{j:6d} {2.0**(j * s) * n:24.15f}")
-    print(f" total {besov_norm(f, idx, bands):24.15f}")
+    print(f" total {besov_sum(norms, idx, bands):24.15f}")
     return 0
 
 
@@ -407,9 +402,9 @@ def main(argv=None) -> int:
     spn.add_argument("--r", type=float, default=1.0)
     args = parser.parse_args(argv)
 
-    if args.command == "norms":
-        return cmd_norms(args.snapshot, args.s, args.p, args.r)
     try:
+        if args.command == "norms":
+            return cmd_norms(args.snapshot, args.s, args.p, args.r)
         cfg = load_config(args.config)
         if args.out is not None:
             cfg.output_dir = args.out

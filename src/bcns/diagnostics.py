@@ -14,12 +14,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .bands import BesovIndex, DyadicBands, besov_norm, split_low_high
+from .bands import (
+    BesovIndex,
+    DyadicBands,
+    band_lp_norms,
+    besov_norm,
+    besov_sum,
+    split_low_high,
+)
 from .calculus import advect, compressible_project, leray_project
-from .solvers import PhysicalParams, Trajectory
+from .solvers import PhysicalParams, Trajectory, pressure_law
 from .spectral import (
     SpectralField,
     SpectralError,
@@ -31,7 +39,6 @@ from .spectral import (
     inverse_transform,
     laplacian,
     product_dealiased,
-    zeros,
 )
 
 
@@ -50,19 +57,12 @@ def _times_density(a: SpectralField, f: SpectralField) -> SpectralField:
 
 
 def _k_minus_a(a: SpectralField, gamma: float) -> SpectralField:
-    """``k(a) - a`` with ``k(a) = (1+a)^(gamma-1) - 1`` (zero for gamma = 2)."""
-    grid = a.grid
-    if gamma == 2.0:
-        return zeros(grid)
+    """``k(a) - a`` with ``k`` the pressure law (zero for gamma = 2)."""
     s = inverse_transform(dealias(a))
-    if gamma == 1.0:
-        vals = -s
-    else:
-        vals = (1.0 + s) ** (gamma - 1.0) - 1.0 - s
-    return dealias(forward_transform(vals, grid))
+    return dealias(forward_transform(pressure_law(s, gamma) - s, a.grid))
 
 
-def h1_terms(a, u, V, Vt, Put, Qut, params: PhysicalParams, bands: DyadicBands):
+def h1_terms(a, u, V, Vt, Put, Qut, params: PhysicalParams):
     """The three tagged source terms of the compressible part.
 
     ``Vt``, ``Put``, ``Qut`` are the caller's time derivatives of the
@@ -80,13 +80,12 @@ def h1_terms(a, u, V, Vt, Put, Qut, params: PhysicalParams, bands: DyadicBands):
     return t1, t2, t3
 
 
-def assemble_H1(a, u, V, Vt, Put, Qut, params: PhysicalParams,
-                bands: DyadicBands) -> SpectralField:
-    t1, t2, t3 = h1_terms(a, u, V, Vt, Put, Qut, params, bands)
+def assemble_H1(a, u, V, Vt, Put, Qut, params: PhysicalParams) -> SpectralField:
+    t1, t2, t3 = h1_terms(a, u, V, Vt, Put, Qut, params)
     return t1 + t2 + t3
 
 
-def h2_terms(a, u, V, Vt, Put, Qut, params: PhysicalParams, bands: DyadicBands):
+def h2_terms(a, u, V, Vt, Put, Qut, params: PhysicalParams):
     """The six tagged source terms of the solenoidal part."""
     for f in (u, V, Vt, Put, Qut):
         if f.grid != a.grid:
@@ -103,13 +102,9 @@ def h2_terms(a, u, V, Vt, Put, Qut, params: PhysicalParams, bands: DyadicBands):
     return t1, t2, t3, t4, t5, t6
 
 
-def assemble_H2(a, u, V, Vt, Put, Qut, params: PhysicalParams,
-                bands: DyadicBands) -> SpectralField:
-    terms = h2_terms(a, u, V, Vt, Put, Qut, params, bands)
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+def assemble_H2(a, u, V, Vt, Put, Qut, params: PhysicalParams) -> SpectralField:
+    terms = h2_terms(a, u, V, Vt, Put, Qut, params)
+    return sum(terms[1:], terms[0])
 
 
 def _time_derivatives(times, fields):
@@ -150,13 +145,65 @@ def _time_derivatives(times, fields):
     return out
 
 
-def _shared_times(traj_cns: Trajectory, traj_ins: Trajectory):
+@dataclass
+class DecompositionSeries:
+    """The decomposition of a compressible run against its incompressible
+    reference: ``a``, ``u = v - V``, ``V``, ``Qu``, ``Pu`` and the time
+    derivatives ``a_t``, ``V_t``, ``Qu_t``, ``Pu_t``, one list entry per
+    snapshot time.
+
+    Each derived list is built on first use and kept, so a consumer holds
+    only the lists it reads.
+    """
+
+    times: np.ndarray
+    a: list
+    V: list
+    v: list         # compressible velocity
+
+    def _differences(self):
+        return (v - V for v, V in zip(self.v, self.V))
+
+    @cached_property
+    def u(self):
+        return list(self._differences())
+
+    @cached_property
+    def Qu(self):
+        return [compressible_project(u) for u in self._differences()]
+
+    @cached_property
+    def Pu(self):
+        return [leray_project(u) for u in self._differences()]
+
+    @cached_property
+    def a_t(self):
+        return _time_derivatives(self.times, self.a)
+
+    @cached_property
+    def V_t(self):
+        return _time_derivatives(self.times, self.V)
+
+    @cached_property
+    def Qu_t(self):
+        return _time_derivatives(self.times, self.Qu)
+
+    @cached_property
+    def Pu_t(self):
+        return _time_derivatives(self.times, self.Pu)
+
+
+def decompose(traj_cns: Trajectory, traj_ins: Trajectory) -> DecompositionSeries:
+    """The decomposition series of two trajectories on their shared
+    snapshot times."""
     ta = np.asarray(traj_cns.times)
     tb = np.asarray(traj_ins.times)
     n = min(len(ta), len(tb))
     if n < 2 or np.max(np.abs(ta[:n] - tb[:n])) > 1e-9:
         raise SpectralError("trajectories do not share snapshot times")
-    return ta[:n], n
+    return DecompositionSeries(ta[:n], [st.a for st in traj_cns.states[:n]],
+                               [st.v for st in traj_ins.states[:n]],
+                               [st.v for st in traj_cns.states[:n]])
 
 
 @dataclass
@@ -173,44 +220,35 @@ def decomposition_residual(traj_cns: Trajectory, traj_ins: Trajectory,
     """Evaluate both compressible-part equations and the solenoidal equation
     on the numerical fields; returns per-time Besov-norm residuals (index
     ``-1 + d/p``, and ``d/p`` for the scalar mass equation)."""
-    times, n = _shared_times(traj_cns, traj_ins)
+    S = decompose(traj_cns, traj_ins)
+    n = len(S.times)
     d = bands.grid.d
     idx_v = BesovIndex(-1.0 + d / p, p, 1.0)
     idx_a = BesovIndex(d / p, p, 1.0)
-
-    a_list = [traj_cns.states[i].a for i in range(n)]
-    u_list = [traj_cns.states[i].v - traj_ins.states[i].v for i in range(n)]
-    V_list = [traj_ins.states[i].v for i in range(n)]
-    Qu_list = [compressible_project(u) for u in u_list]
-    Pu_list = [leray_project(u) for u in u_list]
-
-    a_t = _time_derivatives(times, a_list)
-    Qu_t = _time_derivatives(times, Qu_list)
-    Pu_t = _time_derivatives(times, Pu_list)
-    V_t = _time_derivatives(times, V_list)
 
     r_mass = np.empty(n)
     r_long = np.empty(n)
     r_sol = np.empty(n)
     mu, nu = params.mu, params.nu
     for i in range(n):
-        a, u, V = a_list[i], u_list[i], V_list[i]
-        Qu, Pu = Qu_list[i], Pu_list[i]
-        h1 = assemble_H1(a, u, V, V_t[i], Pu_t[i], Qu_t[i], params, bands)
-        h2 = assemble_H2(a, u, V, V_t[i], Pu_t[i], Qu_t[i], params, bands)
-        res1 = a_t[i] + divergence(Qu) + divergence(product_dealiased(a, u + V))
-        res2 = Qu_t[i] - laplacian(Qu) * nu + gradient(a) + compressible_project(h1)
-        res3 = Pu_t[i] - laplacian(Pu) * mu + leray_project(h2)
+        a, u, V, Qu, Pu = S.a[i], S.u[i], S.V[i], S.Qu[i], S.Pu[i]
+        derivs = (S.V_t[i], S.Pu_t[i], S.Qu_t[i])
+        h1 = assemble_H1(a, u, V, *derivs, params)
+        h2 = assemble_H2(a, u, V, *derivs, params)
+        res1 = S.a_t[i] + divergence(Qu) + divergence(product_dealiased(a, u + V))
+        res2 = S.Qu_t[i] - laplacian(Qu) * nu + gradient(a) + compressible_project(h1)
+        res3 = S.Pu_t[i] - laplacian(Pu) * mu + leray_project(h2)
         r_mass[i] = besov_norm(res1, idx_a, bands)
         r_long[i] = besov_norm(res2, idx_v, bands)
         r_sol[i] = besov_norm(res3, idx_v, bands)
-    return DecompositionResidual(times, r_mass, r_long, r_sol)
+    return DecompositionResidual(S.times, r_mass, r_long, r_sol)
 
 
-def _besov_split(f: SpectralField, nu: float, bands: DyadicBands,
-                 idx_low: BesovIndex, idx_high: BesovIndex):
+def _split_tables(f: SpectralField, nu: float, bands: DyadicBands, p: float):
+    """Band tables of the low part of ``f`` in ``L^2`` and of its high part
+    in ``L^p``, for weighting at several indices with :func:`besov_sum`."""
     low, high = split_low_high(f, nu, bands)
-    return besov_norm(low, idx_low, bands), besov_norm(high, idx_high, bands)
+    return band_lp_norms(low, 2.0, bands), band_lp_norms(high, p, bands)
 
 
 def _trapezoid_running(times, values):
@@ -264,7 +302,8 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
         warnings.warn(f"integrability p={p} outside the supported range "
                       f"[2, {p_cap}) for d={d}; computing anyway",
                       stacklevel=2)
-    times, n = _shared_times(traj_cns, traj_ins)
+    S = decompose(traj_cns, traj_ins)
+    times, n = S.times, len(S.times)
     nu, mu = params.nu, params.mu
 
     low2 = BesovIndex(-1.0 + d / 2.0, 2.0, 1.0)     # low-frequency base index
@@ -274,14 +313,8 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
     vp = BesovIndex(-1.0 + d / p, p, 1.0)
     vp_hi = BesovIndex(1.0 + d / p, p, 1.0)
 
-    a_list = [traj_cns.states[i].a for i in range(n)]
-    u_list = [traj_cns.states[i].v - traj_ins.states[i].v for i in range(n)]
-    V_list = [traj_ins.states[i].v for i in range(n)]
-    Qu_list = [compressible_project(u) for u in u_list]
-    Pu_list = [leray_project(u) for u in u_list]
-    Qu_t = _time_derivatives(times, Qu_list)
-    Pu_t = _time_derivatives(times, Pu_list)
-    V_t = _time_derivatives(times, V_list)
+    def norm(table, idx):
+        return besov_sum(table, idx, bands)
 
     x_snap = np.empty(n)
     y_rate = np.empty(n)
@@ -291,29 +324,29 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
     v_rate = np.empty(n)
     m_rate = np.empty(n)
     for i in range(n):
-        a, Qu, Pu, V = a_list[i], Qu_list[i], Pu_list[i], V_list[i]
-        grad_a = gradient(a)
-        a_lo, a_hi = _besov_split(a, nu, bands, low2, hp)
-        ga_lo, _ = _besov_split(grad_a, nu, bands, low2, hp)
-        qu_lo, qu_hi = _besov_split(Qu, nu, bands, low2, vp)
-        x_snap[i] = (a_lo + nu * ga_lo + qu_lo) + nu * a_hi + qu_hi
+        # one band table per (field, low/high part), weighted per index
+        grad_a = gradient(S.a[i])
+        a_lo, a_hi = _split_tables(S.a[i], nu, bands, p)
+        ga_lo = band_lp_norms(split_low_high(grad_a, nu, bands)[0], 2.0, bands)
+        qu_lo, qu_hi = _split_tables(S.Qu[i], nu, bands, p)
+        x_snap[i] = (norm(a_lo, low2) + nu * norm(ga_lo, low2)
+                     + norm(qu_lo, low2)) + nu * norm(a_hi, hp) + norm(qu_hi, vp)
 
-        a_lo_h, a_hi_l1 = _besov_split(a, nu, bands, low2_hi, hp)
-        ga_lo_h, _ = _besov_split(grad_a, nu, bands, low2_hi, hp)
-        qu_lo_h, qu_hi_h = _besov_split(Qu, nu, bands, low2_hi, vp_hi)
-        damped = Qu_t[i] + grad_a
-        dmp_lo, dmp_hi = _besov_split(damped, nu, bands, low2, vp)
-        y_rate[i] = (nu * a_lo_h + nu**2 * ga_lo_h + nu * qu_lo_h
-                     + a_hi_l1 + nu * qu_hi_h + dmp_lo + dmp_hi)
+        dmp_lo, dmp_hi = _split_tables(S.Qu_t[i] + grad_a, nu, bands, p)
+        y_rate[i] = (nu * norm(a_lo, low2_hi) + nu**2 * norm(ga_lo, low2_hi)
+                     + nu * norm(qu_lo, low2_hi) + norm(a_hi, hp)
+                     + nu * norm(qu_hi, vp_hi) + norm(dmp_lo, low2)
+                     + norm(dmp_hi, vp))
 
-        z_snap[i] = besov_norm(Pu, vp, bands)
-        w_rate[i] = besov_norm(Pu_t[i], vp, bands) + besov_norm(Pu, vp_hi, bands)
+        pu = band_lp_norms(S.Pu[i], p, bands)
+        z_snap[i] = norm(pu, vp)
+        w_rate[i] = besov_norm(S.Pu_t[i], vp, bands) + norm(pu, vp_hi)
 
-        v_sup_snap[i] = besov_norm(V, vp, bands)
-        v_rate[i] = (besov_norm(V_t[i], vp, bands)
-                     + besov_norm(V, vp_hi, bands))
-        m_rate[i] = (besov_norm(V_t[i], vp, bands)
-                     + mu * besov_norm(V, vp_hi, bands))
+        big_v = band_lp_norms(S.V[i], p, bands)
+        big_vt = besov_norm(S.V_t[i], vp, bands)
+        v_sup_snap[i] = norm(big_v, vp)
+        v_rate[i] = big_vt + norm(big_v, vp_hi)
+        m_rate[i] = big_vt + mu * norm(big_v, vp_hi)
 
     X = np.maximum.accumulate(x_snap)
     Y = _trapezoid_running(times, y_rate)
@@ -322,12 +355,11 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
     Vcal = np.maximum.accumulate(v_sup_snap) + _trapezoid_running(times, v_rate)
     M = float(np.max(v_sup_snap) + _trapezoid_running(times, m_rate)[-1])
 
-    a0, v0 = a_list[0], traj_cns.states[0].v
-    Qv0 = compressible_project(v0)
-    a0_lo, a0_hi = _besov_split(a0, nu, bands, low2, hp)
-    a0_lo_mid, _ = _besov_split(a0, nu, bands, low2_mid, hp)
-    q0_lo, q0_hi = _besov_split(Qv0, nu, bands, low2, vp)
-    lhs = a0_lo + nu * a0_lo_mid + nu * a0_hi + q0_lo + q0_hi + M**2 + mu**2
+    a0_lo, a0_hi = _split_tables(S.a[0], nu, bands, p)
+    Qv0 = compressible_project(traj_cns.states[0].v)
+    q0_lo, q0_hi = _split_tables(Qv0, nu, bands, p)
+    lhs = (norm(a0_lo, low2) + nu * norm(a0_lo, low2_mid) + nu * norm(a0_hi, hp)
+           + norm(q0_lo, low2) + norm(q0_hi, vp) + M**2 + mu**2)
     rhs = math.sqrt(mu * nu) * math.exp(-(M + M**2))
     return NormLedger(times, X, Y, Z, W, Vcal, M, lhs, rhs)
 
@@ -358,30 +390,26 @@ def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, p: float,
     ``int ||Pv_t - V_t||_{B^{-1+d/p}_{p,1}} dt``.  Requires ``a_0 = 0`` in
     the compressible run and shared snapshot times.
     """
-    times, n = _shared_times(traj_cns, traj_ins)
+    S = decompose(traj_cns, traj_ins)
     d = bands.grid.d
     hp = BesovIndex(d / p, p, 1.0)
     vp = BesovIndex(-1.0 + d / p, p, 1.0)
     vp_hi = BesovIndex(1.0 + d / p, p, 1.0)
 
-    a0 = traj_cns.states[0].a
-    if besov_norm(a0, hp, bands) > 1e-12:
+    dens = np.array([besov_norm(a, hp, bands) for a in S.a])
+    if dens[0] > 1e-12:
         raise SpectralError("limit_error requires a_0 = 0 in the compressible run")
 
-    Pu_list = [leray_project(traj_cns.states[i].v) - traj_ins.states[i].v
-               for i in range(n)]
-    Pu_t = _time_derivatives(times, Pu_list)
-
-    dens = np.array([besov_norm(traj_cns.states[i].a, hp, bands) for i in range(n)])
-    sups = np.array([besov_norm(pu, vp, bands) for pu in Pu_list])
-    grads = np.array([besov_norm(pu, vp_hi, bands) for pu in Pu_list])
-    dts = np.array([besov_norm(put, vp, bands) for put in Pu_t])
+    pu = [band_lp_norms(f, p, bands) for f in S.Pu]
+    sups = np.array([besov_sum(t, vp, bands) for t in pu])
+    grads = np.array([besov_sum(t, vp_hi, bands) for t in pu])
+    dts = np.array([besov_norm(f, vp, bands) for f in S.Pu_t])
 
     return LimitError(
         err_density=math.sqrt(nu / mu) * float(np.max(dens)),
         err_sup=float(np.max(sups)),
-        err_grad_l1=mu * float(np.trapezoid(grads, times)),
-        err_dt_l1=float(np.trapezoid(dts, times)),
+        err_grad_l1=mu * float(np.trapezoid(grads, S.times)),
+        err_dt_l1=float(np.trapezoid(dts, S.times)),
     )
 
 

@@ -38,7 +38,7 @@ from .calculus import (
     paraproduct,
     remainder,
 )
-from .solvers import step_heat
+from .solvers import pressure_law, step_heat
 from .spectral import (
     Grid,
     SpectralField,
@@ -391,14 +391,7 @@ def check_composition(trials: int = 100, gammas=(1.0, 1.4, 2.0),
                 nf = besov_norm(f, BesovIndex(s, 2, 1), bands)
                 if nf < 1e-14:
                     continue
-                samples = inverse_transform(f)
-                if gamma == 1.0:
-                    gvals = np.zeros_like(samples)
-                elif gamma == 2.0:
-                    gvals = samples
-                else:
-                    gvals = (1.0 + samples) ** (gamma - 1.0) - 1.0
-                gf = forward_transform(gvals, grid)
+                gf = forward_transform(pressure_law(inverse_transform(f), gamma), grid)
                 ratios.append(besov_norm(gf, BesovIndex(s, 2, 1), bands) / nf)
             if not ratios:
                 maxes[N] = 0.0

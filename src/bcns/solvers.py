@@ -39,7 +39,6 @@ from .spectral import (
     divergence,
     forward_transform,
     inv_laplacian,
-    inverse_transform,
     lp_norm,
     product_dealiased,  # noqa: F401  (bench/tests check the tracer rebinds it here)
 )
@@ -83,6 +82,16 @@ class PhysicalParams:
         return cls(mu=mu, lam=nu - 2.0 * mu, gamma=gamma)
 
 
+def pressure_law(s: np.ndarray, gamma: float) -> np.ndarray:
+    """``k(s) = (1+s)^(gamma-1) - 1`` pointwise on samples of the density
+    deviation: exactly 0 for ``gamma = 1`` and exactly ``s`` for ``gamma = 2``."""
+    if gamma == 1.0:
+        return np.zeros_like(s)
+    if gamma == 2.0:
+        return s
+    return (1.0 + s) ** (gamma - 1.0) - 1.0
+
+
 @dataclass(frozen=True)
 class FlowState:
     """Density deviation ``a = rho - 1``, velocity ``v``, time ``t``."""
@@ -117,27 +126,6 @@ class Trajectory:
 
     def final(self) -> FlowState:
         return self.states[-1]
-
-
-def pressure_terms(a: SpectralField, gamma: float):
-    """Pressure ``((1+a)^gamma - 1)/gamma`` and ``k(a) = (1+a)^(gamma-1) - 1``,
-    evaluated pointwise in physical space and dealiased."""
-    s = inverse_transform(a)
-    dens = 1.0 + s
-    if np.min(dens) <= 0.0:
-        raise BlowupError(0.0, f"vacuum: min density {np.min(dens):.3e}")
-    grid = a.grid
-    if gamma == 1.0:
-        p = s
-        k = np.zeros_like(s)
-    elif gamma == 2.0:
-        p = s + 0.5 * s * s
-        k = s
-    else:
-        p = (dens**gamma - 1.0) / gamma
-        k = dens ** (gamma - 1.0) - 1.0
-    return (dealias(forward_transform(p, grid)),
-            dealias(forward_transform(k, grid)))
 
 
 def _sinhc(z: np.ndarray) -> np.ndarray:
@@ -309,10 +297,7 @@ def _cns_tendency(a: SpectralField, v: SpectralField, params: PhysicalParams):
     dens = 1.0 + a_s
     coeffs = [a_s / dens]
     if pressure:
-        if params.gamma == 1.0:
-            coeffs.append(-a_s / dens)
-        else:
-            coeffs.append((dens ** (params.gamma - 1.0) - 1.0 - a_s) / dens)
+        coeffs.append((pressure_law(a_s, params.gamma) - a_s) / dens)
     coeffs = _to_samples(_to_half(np.stack(coeffs), grid) * mask, grid)
 
     out = np.empty((2 * d,) + grid.shape)

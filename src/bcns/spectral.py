@@ -203,11 +203,6 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
     return np.fft.ifftn(f.coeffs * n).real
 
 
-def from_samples(samples: np.ndarray, grid: Grid) -> SpectralField:
-    """Alias of :func:`forward_transform` reading as a constructor."""
-    return forward_transform(samples, grid)
-
-
 def _apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * mult)
 

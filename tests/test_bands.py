@@ -208,6 +208,22 @@ def test_chemin_lerner_constant_field():
         1.5 * base, rel=1e-12)
 
 
+@pytest.mark.parametrize("idx", [BesovIndex(0.5, 2, 1), BesovIndex(-1.0, 4, 2),
+                                 BesovIndex(1.5, 2, math.inf)])
+def test_chemin_lerner_sup_of_one_snapshot_is_besov_norm(idx):
+    # both norms weight their band table with the same l^r sum, so the sup
+    # over one repeated snapshot is the Besov norm to the last bit
+    g = make_grid(2, 16)
+    b = build_partition(g)
+    f = _rand(g, 12)
+    got = chemin_lerner_norm([0.0, 0.5, 1.0], [f, f, f], math.inf, idx, b)
+    assert got == besov_norm(f, idx, b)
+    terms = np.array([2.0 ** (idx.s * j) * lp_norm(dyadic_block(f, j, b), idx.p)
+                      for j in b.j_range])
+    want = np.max(terms) if math.isinf(idx.r) else np.sum(terms**idx.r) ** (1 / idx.r)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_chemin_lerner_two_snapshot_trapezoid():
     g = make_grid(2, 16)
     b = build_partition(g)

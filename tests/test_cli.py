@@ -1,10 +1,14 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcns.cli
 from bcns.bands import BesovIndex, besov_norm, build_partition
 from bcns.cli import (
+    _CONVERTERS,
     ConfigError,
     cmd_lemmas,
     cmd_norms,
@@ -156,9 +160,21 @@ def test_sweep_too_few_viscosities(tmp_path):
     assert rc == 4
 
 
-def test_sweep_identical_stub_hits_fit_error(tmp_path):
+def test_sweep_identical_stub_hits_fit_error(tmp_path, monkeypatch):
+    # every compressible member returns the incompressible reference, so
+    # all errors vanish and the rate fit must fail
+    real_run = bcns.cli.run
+    reference = []
+
+    def run_stub(initial, params, config, horizon, system="cns", snap_times=None):
+        if system == "ins":
+            reference.append(real_run(initial, params, config, horizon,
+                                      system=system, snap_times=snap_times))
+        return reference[0]
+
+    monkeypatch.setattr(bcns.cli, "run", run_stub)
     cfgfile = tmp_path / "sweep.cfg"
-    cfgfile.write_text(SWEEP_CFG + "test_stub = identical\n")
+    cfgfile.write_text(SWEEP_CFG)
     rc = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert rc == 4
 
@@ -229,6 +245,31 @@ def test_norms_cos_matches_besov(tmp_path, capsys):
     assert total == pytest.approx(besov_norm(f, BesovIndex(0, 2, 1), b),
                                   rel=1e-12)
     assert total == pytest.approx(2.0**-0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("flag, value", [("--p", "0.5"), ("--r", "0.5"),
+                                         ("--p", "nan"), ("--s", "nan")])
+def test_norms_bad_index_exits_2(tmp_path, capsys, flag, value):
+    g = make_grid(2, 16)
+    snap = tmp_path / "z.snap"
+    write_snapshot(snap, forward_transform(np.zeros(g.shape), g), 0.0)
+    rc = main(["norms", str(snap), flag, value])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Besov indices need")
+
+
+def test_readme_keys_table_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Keys:\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = [ln for ln in table.splitlines() if ln.startswith("| `")]
+    keys = {k for ln in rows for k in re.findall(r"`([^`]+)`", ln.split("|")[1])}
+    assert keys == set(_CONVERTERS)
+    for key in keys:
+        try:
+            parse_config(f"{key} = 0\n")
+        except ConfigError as exc:
+            assert "unknown key" not in str(exc)
 
 
 def test_norms_corrupt_snapshot(tmp_path):

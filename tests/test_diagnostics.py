@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from bcns.bands import BesovIndex, besov_norm, build_partition
+from bcns.bands import BesovIndex, besov_norm, build_partition, split_low_high
 from bcns.calculus import compressible_project, leray_project
 from bcns.diagnostics import (
+    _time_derivatives,
+    _trapezoid_running,
     assemble_H1,
+    decompose,
     decomposition_residual,
     effective_velocity,
     fit_rate,
@@ -28,6 +31,7 @@ from bcns.spectral import (
     SpectralField,
     dealias,
     forward_transform,
+    gradient,
     lp_norm,
     make_grid,
     zeros,
@@ -96,21 +100,19 @@ def _zero_tderivs(g):
 
 def test_h1_zero_inputs():
     g = _grid()
-    b = build_partition(g)
     params = PhysicalParams(mu=1.0, lam=0.0)
     Vt, Put, Qut = _zero_tderivs(g)
     out = assemble_H1(zeros(g), zeros(g, vector=True), zeros(g, vector=True),
-                      Vt, Put, Qut, params, b)
+                      Vt, Put, Qut, params)
     assert lp_norm(out, 2) == 0.0
 
 
 def test_h1_vanishing_density():
     g = _grid()
-    b = build_partition(g)
     params = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
     u, V = _rand_vec(g, 6), leray_project(_rand_vec(g, 7))
     Vt, Put, Qut = (_rand_vec(g, 8), _rand_vec(g, 9), _rand_vec(g, 10))
-    t1, t2, t3 = h1_terms(zeros(g), u, V, Vt, Put, Qut, params, b)
+    t1, t2, t3 = h1_terms(zeros(g), u, V, Vt, Put, Qut, params)
     assert lp_norm(t1, 2) <= 1e-14
     assert lp_norm(t3, 2) <= 1e-14
     from bcns.calculus import advect
@@ -121,18 +123,16 @@ def test_h1_vanishing_density():
 
 def test_h1_gamma2_kills_pressure_term():
     g = _grid()
-    b = build_partition(g)
     params = PhysicalParams(mu=1.0, lam=0.0, gamma=2.0)
     a = _rand_scal(g, 11) * 0.1
     u, V = _rand_vec(g, 12), leray_project(_rand_vec(g, 13))
     Vt, Put, Qut = _zero_tderivs(g)
-    _, _, t3 = h1_terms(a, u, V, Vt, Put, Qut, params, b)
+    _, _, t3 = h1_terms(a, u, V, Vt, Put, Qut, params)
     assert lp_norm(t3, 2) == 0.0
 
 
 def test_h2_term_kill_audit():
     g = _grid()
-    b = build_partition(g)
     params = PhysicalParams(mu=1.0, lam=0.0)
     # a = 0 and solenoidal difference zero: u is a pure gradient
     x, _ = g.meshes()
@@ -140,7 +140,7 @@ def test_h2_term_kill_audit():
         np.stack([np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
     V = taylor_green(g)
     Vt, Put, Qut = (_rand_vec(g, 14), zeros(g, vector=True), _rand_vec(g, 15))
-    terms = h2_terms(zeros(g), u, V, Vt, Put, Qut, params, b)
+    terms = h2_terms(zeros(g), u, V, Vt, Put, Qut, params)
     for i in (0, 1, 2, 3, 5):
         assert lp_norm(terms[i], 2) <= 1e-13, f"term {i+1} should vanish"
     assert lp_norm(terms[4], 2) > 1e-3  # advection coupling V with Qu survives
@@ -148,11 +148,10 @@ def test_h2_term_kill_audit():
 
 def test_h2_all_zero():
     g = _grid()
-    b = build_partition(g)
     params = PhysicalParams(mu=1.0, lam=0.0)
     Vt, Put, Qut = _zero_tderivs(g)
     terms = h2_terms(zeros(g), zeros(g, vector=True), zeros(g, vector=True),
-                     Vt, Put, Qut, params, b)
+                     Vt, Put, Qut, params)
     assert all(lp_norm(t, 2) == 0.0 for t in terms)
 
 
@@ -362,6 +361,92 @@ def test_limit_error_requires_zero_initial_density():
                      [], "horizon")
     with pytest.raises(SpectralError):
         limit_error(cns, ins, 2.0, b, 1.0, 10.0)
+
+
+def _ledger_reference(traj_cns, traj_ins, params, p, b):
+    """X/Y/Z/W/Vcal/M and the smallness sides with every Besov norm taken
+    by its own ``besov_norm`` call on lists built from the trajectories."""
+    n, d, nu, mu = len(traj_cns.times), b.grid.d, params.nu, params.mu
+    times = np.asarray(traj_cns.times)
+    low2, low2_hi, low2_mid = (BesovIndex(s, 2, 1)
+                               for s in (-1 + d / 2, 1 + d / 2, d / 2))
+    hp, vp, vp_hi = (BesovIndex(s, p, 1) for s in (d / p, -1 + d / p, 1 + d / p))
+    a = [st.a for st in traj_cns.states]
+    V = [st.v for st in traj_ins.states]
+    u = [c.v - r.v for c, r in zip(traj_cns.states, traj_ins.states)]
+    Qu, Pu = [compressible_project(f) for f in u], [leray_project(f) for f in u]
+    Qu_t, Pu_t, V_t = (_time_derivatives(times, f) for f in (Qu, Pu, V))
+
+    def split(f, il, ih):
+        lo, hi = split_low_high(f, nu, b)
+        return besov_norm(lo, il, b), besov_norm(hi, ih, b)
+
+    cols = np.zeros((7, n))
+    for i in range(n):
+        ga = gradient(a[i])
+        a_lo, a_hi = split(a[i], low2, hp)
+        qu_lo, qu_hi = split(Qu[i], low2, vp)
+        cols[0, i] = (a_lo + nu * split(ga, low2, hp)[0] + qu_lo) + nu * a_hi + qu_hi
+        qu_lo_h, qu_hi_h = split(Qu[i], low2_hi, vp_hi)
+        dmp_lo, dmp_hi = split(Qu_t[i] + ga, low2, vp)
+        cols[1, i] = (nu * split(a[i], low2_hi, hp)[0]
+                      + nu**2 * split(ga, low2_hi, hp)[0] + nu * qu_lo_h
+                      + a_hi + nu * qu_hi_h + dmp_lo + dmp_hi)
+        cols[2, i] = besov_norm(Pu[i], vp, b)
+        cols[3, i] = besov_norm(Pu_t[i], vp, b) + besov_norm(Pu[i], vp_hi, b)
+        cols[4, i] = besov_norm(V[i], vp, b)
+        cols[5, i] = besov_norm(V_t[i], vp, b) + besov_norm(V[i], vp_hi, b)
+        cols[6, i] = besov_norm(V_t[i], vp, b) + mu * besov_norm(V[i], vp_hi, b)
+    M = float(np.max(cols[4]) + _trapezoid_running(times, cols[6])[-1])
+    a0_lo, a0_hi = split(a[0], low2, hp)
+    q0_lo, q0_hi = split(compressible_project(traj_cns.states[0].v), low2, vp)
+    lhs = (a0_lo + nu * split(a[0], low2_mid, hp)[0] + nu * a0_hi + q0_lo + q0_hi
+           + M**2 + mu**2)
+    return cols, M, lhs
+
+
+def test_decompose_series_feeds_every_consumer():
+    # nu = 0.5 puts the bands j <= 1 in the low-frequency part of the ledger
+    traj_cns, traj_ins, params = _paired_runs(16, 0.1, 0.005, nu=0.5, nsnap=11)
+    b = build_partition(_grid())
+    assert b.low_bands(params.nu) == [-1, 0, 1]
+    S = decompose(traj_cns, traj_ins)
+
+    # lazy: reading Pu_t builds Pu and nothing else derived
+    S.Pu_t
+    built = set(vars(S))
+    assert {"Pu", "Pu_t"} <= built and not {"u", "Qu", "Qu_t", "a_t"} & built
+
+    for i, (c, r) in enumerate(zip(traj_cns.states, traj_ins.states)):
+        u = c.v - r.v
+        scale = np.max(np.abs(u.coeffs))
+        assert np.max(np.abs((S.Pu[i] + S.Qu[i] - S.u[i]).coeffs)) <= 1e-15 * scale
+        assert np.max(np.abs(S.Pu[i].coeffs
+                             - (leray_project(c.v) - r.v).coeffs)) <= 1e-13 * scale
+        assert np.array_equal(S.u[i].coeffs, u.coeffs)
+        assert np.array_equal(S.Qu[i].coeffs, compressible_project(u).coeffs)
+        assert np.array_equal(S.Pu[i].coeffs, leray_project(u).coeffs)
+    for name, fields in (("a_t", [st.a for st in traj_cns.states]),
+                         ("V_t", [st.v for st in traj_ins.states]),
+                         ("Pu_t", S.Pu), ("Qu_t", S.Qu)):
+        want = _time_derivatives(np.asarray(traj_cns.times), fields)
+        assert all(np.array_equal(x.coeffs, y.coeffs)
+                   for x, y in zip(getattr(S, name), want)), name
+
+    led = norm_ledger(traj_cns, traj_ins, params, 2.0, b)
+    cols, M, lhs = _ledger_reference(traj_cns, traj_ins, params, 2.0, b)
+    assert np.array_equal(led.X, np.maximum.accumulate(cols[0]))
+    assert np.array_equal(led.Y, _trapezoid_running(S.times, cols[1]))
+    assert np.array_equal(led.Z, np.maximum.accumulate(cols[2]))
+    assert np.array_equal(led.W, _trapezoid_running(S.times, cols[3]))
+    assert np.array_equal(led.Vcal, np.maximum.accumulate(cols[4])
+                          + _trapezoid_running(S.times, cols[5]))
+    assert led.M == M and led.smallness_lhs == lhs
+
+    err = limit_error(traj_cns, traj_ins, 2.0, b, params.mu, params.nu)
+    sups = [besov_norm(leray_project(c.v) - r.v, BesovIndex(0.0, 2, 1), b)
+            for c, r in zip(traj_cns.states, traj_ins.states)]
+    assert err.err_sup == pytest.approx(max(sups), rel=1e-13)
 
 
 def test_fit_rate_power_law():

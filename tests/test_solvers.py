@@ -21,7 +21,7 @@ from bcns.solvers import (
     _real_samples,
     acoustic_propagator,
     kinetic_energy,
-    pressure_terms,
+    pressure_law,
     run,
     step_cns,
     step_heat,
@@ -66,31 +66,34 @@ def test_stepper_config_validation():
         StepperConfig(cfl=1.5)
 
 
-def test_pressure_terms_gamma1():
+def test_pressure_law_exact_cases():
+    s = np.random.default_rng(0).uniform(-0.5, 0.5, (16, 16))
+    k1 = pressure_law(s, 1.0)
+    assert k1.shape == s.shape and np.all(k1 == 0.0)
+    assert np.array_equal(pressure_law(s, 2.0), s)
+
+
+def test_pressure_law_closed_form():
+    s = np.linspace(-0.9, 2.0, 59)
+    want = [math.pow(1.0 + x, 0.4) - 1.0 for x in s]
+    np.testing.assert_allclose(pressure_law(s, 1.4), want, rtol=0, atol=1e-15)
+    assert pressure_law(np.zeros(3), 1.4).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_run_vacuum_guard_reports_the_state_time():
+    # min density 1 - 0.95 = 0.05 is below the vacuum floor 0.1, while
+    # max|a| = 0.95 stays under the raised amplitude guard
     g = _grid()
     x, _ = g.meshes()
-    a = forward_transform(0.2 * np.cos(x) + np.zeros(g.shape), g)
-    P, k = pressure_terms(a, 1.0)
-    assert np.max(np.abs(P.coeffs - a.coeffs)) <= 1e-13
-    assert lp_norm(k, math.inf) <= 1e-14
-
-
-def test_pressure_terms_gamma2():
-    g = _grid()
-    x, _ = g.meshes()
-    a = forward_transform(0.3 * np.sin(x) + np.zeros(g.shape), g)
-    _, k = pressure_terms(a, 2.0)
-    from bcns.spectral import dealias
-
-    assert np.max(np.abs(k.coeffs - dealias(a).coeffs)) <= 1e-13
-
-
-def test_pressure_terms_vacuum():
-    g = _grid()
-    x, _ = g.meshes()
-    a = forward_transform(-1.2 + 0.0 * x + np.zeros(g.shape), g)
-    with pytest.raises(BlowupError):
-        pressure_terms(a, 1.4)
+    a0 = forward_transform(-0.95 * np.cos(x) + np.zeros(g.shape), g)
+    params = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
+    cfg = StepperConfig(a_inf_max=2.0)
+    traj = run(FlowState(a0, zeros(g, vector=True), 0.3), params, cfg, 1.0)
+    assert traj.terminated == "blowup"
+    blowups = [(t, ev) for t, ev in traj.events if ev.startswith("blowup:")]
+    assert len(blowups) == 1
+    t, ev = blowups[0]
+    assert t == 0.3 and "vacuum guard" in ev
 
 
 def _sorted_pair(vals):
