@@ -131,7 +131,10 @@ def advect(u: SpectralField, f: SpectralField) -> SpectralField:
     return term
 
 
-def commutator_transport(u: SpectralField, v: SpectralField, j: int,
-                         bands: DyadicBands) -> SpectralField:
-    """Transport commutator ``u . grad(Delta_j v) - Delta_j(u . grad v)``."""
-    return advect(u, dyadic_block(v, j, bands)) - dyadic_block(advect(u, v), j, bands)
+def commutator_transport(u: SpectralField, v: SpectralField,
+                         bands: DyadicBands) -> list:
+    """Transport commutators ``u . grad(Delta_j v) - Delta_j(u . grad v)``
+    of every band, ordered by j (``u . grad v`` is formed once)."""
+    uv = advect(u, v)
+    return [advect(u, dyadic_block(v, j, bands)) - dyadic_block(uv, j, bands)
+            for j in bands.j_range]

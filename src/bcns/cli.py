@@ -47,10 +47,6 @@ class FitError(RuntimeError):
     pass
 
 
-_VALID_LEMMAS = ("bernstein", "product_laws", "commutators", "heat",
-                 "composition", "oscillatory")
-
-
 @dataclass
 class RunConfig:
     d: int = 2
@@ -147,11 +143,15 @@ def _validate(cfg: RunConfig, path: str) -> None:
         raise ConfigError(f"{path}: key 'write_snapshots' must be final|all|none")
     if cfg.snapshots < 2:
         raise ConfigError(f"{path}: key 'snapshots' must be >= 2")
+    if not 0 < cfg.T < math.inf:
+        raise ConfigError(f"{path}: key 'T' must be finite and > 0, got {cfg.T}")
+    if cfg.trials < 1:
+        raise ConfigError(f"{path}: key 'trials' must be >= 1, got {cfg.trials}")
     for name in cfg.lemmas.split(","):
         name = name.strip()
-        if name and name != "all" and name not in _VALID_LEMMAS:
+        if name and name != "all" and name not in lemma_suite.CHECKS:
             raise ConfigError(f"{path}: unknown lemma id '{name}' "
-                              f"(valid: {', '.join(_VALID_LEMMAS)})")
+                              f"(valid: {', '.join(lemma_suite.CHECKS)})")
 
 
 def load_config(path: str) -> RunConfig:
@@ -337,25 +337,10 @@ def cmd_lemmas(cfg: RunConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     wanted = [s.strip() for s in cfg.lemmas.split(",") if s.strip()]
     if "all" in wanted:
-        wanted = list(_VALID_LEMMAS)
+        wanted = list(lemma_suite.CHECKS)
     reports = []
     for name in wanted:
-        if name == "bernstein":
-            reports += lemma_suite.check_bernstein(trials=cfg.trials, seed=cfg.seed)
-        elif name == "product_laws":
-            reports += lemma_suite.check_product_laws(trials=cfg.trials,
-                                                      seed=cfg.seed)
-        elif name == "commutators":
-            reports += lemma_suite.check_commutators(trials=cfg.trials,
-                                                     seed=cfg.seed)
-        elif name == "heat":
-            reports += lemma_suite.check_heat_regularity(seed=cfg.seed)
-        elif name == "composition":
-            reports += lemma_suite.check_composition(trials=cfg.trials,
-                                                     seed=cfg.seed)
-        elif name == "oscillatory":
-            reports.append(lemma_suite.check_oscillatory_scaling(p=2.0))
-            reports.append(lemma_suite.check_oscillatory_scaling(p=4.0))
+        reports += lemma_suite.CHECKS[name](cfg.trials, cfg.seed)
     with open(outdir / "lemmas.csv", "w") as fh:
         fh.write("lemma,params,max_ratio,median_ratio,stable\n")
         for r in reports:

@@ -85,7 +85,7 @@ def assemble_H1(a, u, V, Vt, Put, Qut, params: PhysicalParams) -> SpectralField:
     return t1 + t2 + t3
 
 
-def h2_terms(a, u, V, Vt, Put, Qut, params: PhysicalParams):
+def h2_terms(a, u, V, Vt, Put, Qut):
     """The six tagged source terms of the solenoidal part."""
     for f in (u, V, Vt, Put, Qut):
         if f.grid != a.grid:
@@ -102,8 +102,8 @@ def h2_terms(a, u, V, Vt, Put, Qut, params: PhysicalParams):
     return t1, t2, t3, t4, t5, t6
 
 
-def assemble_H2(a, u, V, Vt, Put, Qut, params: PhysicalParams) -> SpectralField:
-    terms = h2_terms(a, u, V, Vt, Put, Qut, params)
+def assemble_H2(a, u, V, Vt, Put, Qut) -> SpectralField:
+    terms = h2_terms(a, u, V, Vt, Put, Qut)
     return sum(terms[1:], terms[0])
 
 
@@ -234,7 +234,7 @@ def decomposition_residual(traj_cns: Trajectory, traj_ins: Trajectory,
         a, u, V, Qu, Pu = S.a[i], S.u[i], S.V[i], S.Qu[i], S.Pu[i]
         derivs = (S.V_t[i], S.Pu_t[i], S.Qu_t[i])
         h1 = assemble_H1(a, u, V, *derivs, params)
-        h2 = assemble_H2(a, u, V, *derivs, params)
+        h2 = assemble_H2(a, u, V, *derivs)
         res1 = S.a_t[i] + divergence(Qu) + divergence(product_dealiased(a, u + V))
         res2 = S.Qu_t[i] - laplacian(Qu) * nu + gradient(a) + compressible_project(h1)
         res3 = S.Pu_t[i] - laplacian(Pu) * mu + leray_project(h2)

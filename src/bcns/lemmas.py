@@ -18,7 +18,7 @@ regularity assumption, not the inequality).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,10 +60,6 @@ class LemmaReport:
     max_ratio: float
     median_ratio: float
     stable: bool
-
-    def row(self):
-        return (self.lemma, self.params, self.max_ratio, self.median_ratio,
-                self.stable)
 
 
 def random_field(grid: Grid, rng: np.random.Generator, decay: float | None = None,
@@ -110,6 +106,44 @@ def _stability(vals_by_n: dict, tol: float) -> bool:
     return all(abs(vals_by_n[n] - ref) <= tol * abs(ref) for n in ns)
 
 
+def _refine(names, trial, trials: int, grid_sizes, seed: int) -> dict:
+    """Run ``trials`` trials on each 2D grid of ``grid_sizes`` and return,
+    for every ratio in ``names``, its maximum over the finite values on each
+    grid: ``{name: {N: max}}``.
+
+    Each grid gets its own partition and ``default_rng(seed)``, so every
+    grid sees the same draw sequence.  ``trial(grid, bands, rng)`` returns
+    the ratios it measured by name, leaving out those whose denominator
+    vanished; a ratio with no finite value on some grid raises
+    :class:`SpectralError`.
+    """
+    maxes = {name: {} for name in names}
+    for N in grid_sizes:
+        grid = make_grid(2, N)
+        bands = build_partition(grid)
+        rng = np.random.default_rng(seed)
+        found = {name: [] for name in names}
+        for _ in range(trials):
+            for name, ratio in trial(grid, bands, rng).items():
+                if math.isfinite(ratio):
+                    found[name].append(ratio)
+        for name, ratios in found.items():
+            if not ratios:
+                raise SpectralError(f"no trial measured the {name} ratio on the "
+                                    f"N={N} grid ({trials} trials)")
+            maxes[name][N] = max(ratios)
+    return maxes
+
+
+def _report(lemma: str, params: str, maxes: dict, tol: float) -> LemmaReport:
+    """Report of per-grid maxima: the value on the finest grid, the median
+    over the grids, and whether every grid lies within ``tol`` of the
+    finest."""
+    return LemmaReport(lemma, params, maxes[max(maxes)],
+                       float(np.median(list(maxes.values()))),
+                       _stability(maxes, tol))
+
+
 def check_bernstein(trials: int = 100, grid_sizes=(16, 32, 64),
                     seed: int = 0) -> list:
     """Derivative bounds on frequency-localized fields.
@@ -120,115 +154,85 @@ def check_bernstein(trials: int = 100, grid_sizes=(16, 32, 64),
     """
     if trials < 10:
         raise SpectralError("check_bernstein needs at least 10 trials")
-    reports = []
     annulus_ok = True
     worst_lo, worst_hi = math.inf, 0.0
-    maxes = {}
-    for N in grid_sizes:
-        grid = make_grid(2, N)
-        bands = build_partition(grid)
-        rng = np.random.default_rng(seed)
-        ratios = []
-        for _ in range(trials):
-            f = random_field(grid, rng)
-            j = int(rng.integers(0, bands.j_max - 1))
-            blk = dyadic_block(f, j, bands)
-            n0 = lp_norm(blk, 2)
-            if n0 < 1e-14:
-                continue
-            r = lp_norm(gradient(blk), 2) / n0
-            lo, hi = 0.75 * 2.0**j, (8.0 / 3.0) * 2.0**j
-            worst_lo = min(worst_lo, r / (0.75 * 2.0**j))
-            worst_hi = max(worst_hi, r / ((8.0 / 3.0) * 2.0**j))
-            if not (lo * (1 - 1e-12) <= r <= hi * (1 + 1e-12)):
-                annulus_ok = False
-            # ball case: low cutoff at j=2, L^2 -> L^inf
-            g = low_cutoff(f, 2, bands)
-            n2 = lp_norm(g, 2)
-            if n2 > 1e-14:
-                sigma = (4.0 / 3.0) * 2.0**2
-                ratios.append(lp_norm(g, math.inf) / (sigma ** (grid.d / 2.0) * n2))
-        maxes[N] = max(ratios)
-    reports.append(LemmaReport("bernstein_annulus_l2", "d=2,exact[0.75,8/3]",
-                               worst_hi, worst_lo, annulus_ok))
-    reports.append(LemmaReport("bernstein_ball_p2_qinf",
-                               f"d=2,j=2,N={tuple(grid_sizes)}",
-                               maxes[max(grid_sizes)],
-                               float(np.median(list(maxes.values()))),
-                               _stability(maxes, 0.20)))
-    return reports
 
+    def trial(grid, bands, rng):
+        nonlocal annulus_ok, worst_lo, worst_hi
+        f = random_field(grid, rng)
+        j = int(rng.integers(0, bands.j_max - 1))
+        blk = dyadic_block(f, j, bands)
+        n0 = lp_norm(blk, 2)
+        if n0 < 1e-14:
+            return {}
+        r = lp_norm(gradient(blk), 2) / n0
+        lo, hi = 0.75 * 2.0**j, (8.0 / 3.0) * 2.0**j
+        worst_lo = min(worst_lo, r / lo)
+        worst_hi = max(worst_hi, r / hi)
+        if not (lo * (1 - 1e-12) <= r <= hi * (1 + 1e-12)):
+            annulus_ok = False
+        # ball case: low cutoff at j=2, L^2 -> L^inf
+        g = low_cutoff(f, 2, bands)
+        n2 = lp_norm(g, 2)
+        if n2 <= 1e-14:
+            return {}
+        sigma = (4.0 / 3.0) * 2.0**2
+        return {"ball": lp_norm(g, math.inf) / (sigma ** (grid.d / 2.0) * n2)}
 
-def _ratio_stats(ratios) -> tuple:
-    arr = np.array([r for r in ratios if np.isfinite(r)])
-    return float(np.max(arr)), float(np.median(arr))
+    maxes = _refine(("ball",), trial, trials, grid_sizes, seed)
+    return [LemmaReport("bernstein_annulus_l2", "d=2,exact[0.75,8/3]",
+                        worst_hi, worst_lo, annulus_ok),
+            _report("bernstein_ball_p2_qinf", f"d=2,j=2,N={tuple(grid_sizes)}",
+                    maxes["ball"], 0.20)]
 
 
 def check_product_laws(trials: int = 100, grid_sizes=(16, 32, 64),
                        seed: int = 0) -> list:
     """Paraproduct, remainder (positive and documented-negative index sums),
     and the full product law at (d,p,q,s1,s2) = (2,2,2,1,0.5)."""
-    reports = []
-    para_max, rem_pos_max, rem_neg_max, full_max = {}, {}, {}, {}
-    for N in grid_sizes:
-        grid = make_grid(2, N)
-        bands = build_partition(grid)
-        rng = np.random.default_rng(seed)
-        para, rem_pos, rem_neg, full = [], [], [], []
-        for _ in range(trials):
-            u = random_field(grid, rng, decay=3.0)
-            v = random_field(grid, rng, decay=3.0)
-            s = 0.5
-            idx = BesovIndex(s, 2, 1)
-            nv = besov_norm(v, idx, bands)
-            nu_inf = lp_norm(u, math.inf)
-            if nv > 1e-14 and nu_inf > 1e-14:
-                para.append(besov_norm(paraproduct(u, v, bands), idx, bands)
-                            / (nu_inf * nv))
+    half, one = BesovIndex(0.5, 2, 1), BesovIndex(1.0, 2, 1)
+    s1n, s2n = -0.25, -0.25
+
+    def trial(grid, bands, rng):
+        u = random_field(grid, rng, decay=3.0)
+        v = random_field(grid, rng, decay=3.0)
+        nv = besov_norm(v, half, bands)
+        nu_inf = lp_norm(u, math.inf)
+        den = besov_norm(u, one, bands) * nv
+        ratios = {}
+        if nv > 1e-14 and nu_inf > 1e-14:
+            ratios["para"] = (besov_norm(paraproduct(u, v, bands), half, bands)
+                              / (nu_inf * nv))
+        if den > 1e-14:
             # remainder, s1 + s2 = 1.5 > 0, measured in B^{s1+s2}_{1,1}
-            s1, s2 = 1.0, 0.5
-            r = remainder(u, v, bands)
-            den = (besov_norm(u, BesovIndex(s1, 2, 1), bands)
-                   * besov_norm(v, BesovIndex(s2, 2, 1), bands))
-            if den > 1e-14:
-                rem_pos.append(besov_norm(r, BesovIndex(s1 + s2, 1, 1), bands) / den)
-            # documented negative case s1 + s2 = -0.5: coherent lacunary
-            # pair whose comparable-frequency beats (2^j against 2^j + 1)
-            # deposit coherently at |k| = 1
-            s1n, s2n = -0.25, -0.25
-            un, vn = _lacunary_pair(grid, rng, s1n, s2n)
-            rn = remainder(un, vn, bands)
-            denn = (besov_norm(un, BesovIndex(s1n, 2, math.inf), bands)
-                    * besov_norm(vn, BesovIndex(s2n, 2, math.inf), bands))
-            if denn > 1e-14:
-                rem_neg.append(
-                    besov_norm(rn, BesovIndex(s1n + s2n, 1, math.inf), bands) / denn)
+            ratios["rem_pos"] = besov_norm(remainder(u, v, bands),
+                                           BesovIndex(1.5, 1, 1), bands) / den
             # full product law (d,p,q,s1,s2) = (2,2,2,1,0.5)
-            den2 = (besov_norm(u, BesovIndex(1.0, 2, 1), bands)
-                    * besov_norm(v, BesovIndex(0.5, 2, 1), bands))
-            if den2 > 1e-14:
-                full.append(besov_norm(product_dealiased(u, v),
-                                       BesovIndex(0.5, 2, 1), bands) / den2)
-        para_max[N] = _ratio_stats(para)[0]
-        rem_pos_max[N] = _ratio_stats(rem_pos)[0]
-        rem_neg_max[N] = _ratio_stats(rem_neg)[0]
-        full_max[N] = _ratio_stats(full)[0]
-    nref = max(grid_sizes)
-    reports.append(LemmaReport("paraproduct_linf", "d=2,s=0.5",
-                               para_max[nref], float(np.median(list(para_max.values()))),
-                               _stability(para_max, 0.25)))
-    reports.append(LemmaReport("remainder_positive", "d=2,s1=1,s2=0.5",
-                               rem_pos_max[nref],
-                               float(np.median(list(rem_pos_max.values()))),
-                               _stability(rem_pos_max, 0.25)))
-    growth = rem_neg_max[nref] / rem_neg_max[min(grid_sizes)]
-    reports.append(LemmaReport("remainder_negative", "d=2,s1=0.25,s2=-0.75",
-                               rem_neg_max[nref], growth, growth > 1.3))
-    reports.append(LemmaReport("product_law", "d=2,p=q=2,s1=1,s2=0.5",
-                               full_max[nref],
-                               float(np.median(list(full_max.values()))),
-                               _stability(full_max, 0.25)))
-    return reports
+            ratios["full"] = besov_norm(product_dealiased(u, v), half,
+                                        bands) / den
+        # documented negative case s1 + s2 = -0.5: coherent lacunary
+        # pair whose comparable-frequency beats (2^j against 2^j + 1)
+        # deposit coherently at |k| = 1
+        un, vn = _lacunary_pair(grid, rng, s1n, s2n)
+        denn = (besov_norm(un, BesovIndex(s1n, 2, math.inf), bands)
+                * besov_norm(vn, BesovIndex(s2n, 2, math.inf), bands))
+        if denn > 1e-14:
+            ratios["rem_neg"] = besov_norm(
+                remainder(un, vn, bands),
+                BesovIndex(s1n + s2n, 1, math.inf), bands) / denn
+        return ratios
+
+    maxes = _refine(("para", "rem_pos", "rem_neg", "full"), trial, trials,
+                    grid_sizes, seed)
+    neg = maxes["rem_neg"]
+    growth = neg[max(grid_sizes)] / neg[min(grid_sizes)]
+    return [_report("paraproduct_linf", "d=2,s=0.5", maxes["para"], 0.25),
+            _report("remainder_positive", "d=2,s1=1,s2=0.5", maxes["rem_pos"],
+                    0.25),
+            LemmaReport("remainder_negative", "d=2,s1=0.25,s2=-0.75",
+                        neg[max(grid_sizes)], growth, growth > 1.3),
+            _report("product_law", "d=2,p=q=2,s1=1,s2=0.5", maxes["full"],
+                    0.25)]
 
 
 def check_commutators(trials: int = 100, grid_sizes=(16, 32, 64),
@@ -236,71 +240,51 @@ def check_commutators(trials: int = 100, grid_sizes=(16, 32, 64),
     """Transport commutator (band-weighted sum) and the zero-order-multiplier
     commutator with the Leray projection, including the divergence-free
     sharpening."""
-    reports = []
-    trans_max, mult_max, mult_div_max = {}, {}, {}
     s = 0.5
-    for N in grid_sizes:
-        grid = make_grid(2, N)
-        bands = build_partition(grid)
-        rng = np.random.default_rng(seed)
-        trans, mult, mult_div = [], [], []
-        for _ in range(trials):
-            u = random_field(grid, rng, decay=3.25, vector=True)
-            v = random_field(grid, rng, decay=2.0)
-            den = (besov_norm(gradient_norm_field(u), BesovIndex(1.0, 2, 1), bands)
-                   * besov_norm(v, BesovIndex(s, 2, 1), bands))
-            if den > 1e-14:
-                total = 0.0
-                for j in bands.j_range:
-                    total += 2.0**(j * s) * lp_norm(
-                        commutator_transport(u, v, j, bands), 2)
-                trans.append(total / den)
-            # zero-order multiplier commutator [P, u.grad] v on vectors
-            w = random_field(grid, rng, decay=2.0, vector=True)
-            comm = leray_project(advect(u, w)) - advect(u, leray_project(w))
-            j0 = max(j for j in bands.j_range if 2.0**j * nu <= 1.0) \
-                if bands.low_bands(nu) else bands.j_min - 1
-            acc = 0.0
-            for j in bands.j_range:
-                if j <= j0:
-                    acc += 2.0**(j * 0.0) * lp_norm(dyadic_block(comm, j, bands), 2)
-            gu = gradient_norm_field(u)
-            gu_lo, gu_hi = split_low_high(gu, nu, bands)
-            w_lo, w_hi = split_low_high(w, nu, bands)
-            den_m = ((besov_norm(gu_lo, BesovIndex(1.0, 2, 1), bands)
-                      + besov_norm(gu_hi, BesovIndex(1.0, 2, 1), bands))
-                     * (besov_norm(w_lo, BesovIndex(0.0, 2, 1), bands)
-                        + besov_norm(w_hi, BesovIndex(0.0, 2, 1), bands)))
-            if den_m > 1e-14 and acc > 0:
-                mult.append(acc / den_m)
-            udiv = leray_project(u)
-            comm2 = leray_project(advect(udiv, w)) - advect(udiv, leray_project(w))
-            acc2 = 0.0
-            for j in bands.j_range:
-                if j <= j0:
-                    acc2 += lp_norm(dyadic_block(comm2, j, bands), 2)
-            den2 = (besov_norm(gradient_norm_field(udiv), BesovIndex(1.0, 2, 1), bands)
-                    * (besov_norm(w_lo, BesovIndex(0.0, 2, 1), bands)
-                       + besov_norm(w_hi, BesovIndex(0.0, 2, 1), bands)))
-            if den2 > 1e-14 and acc2 > 0:
-                mult_div.append(acc2 / den2)
-        trans_max[N] = _ratio_stats(trans)[0]
-        mult_max[N] = _ratio_stats(mult)[0]
-        mult_div_max[N] = _ratio_stats(mult_div)[0]
-    nref = max(grid_sizes)
-    reports.append(LemmaReport("commutator_transport", f"d=2,s={s}",
-                               trans_max[nref],
-                               float(np.median(list(trans_max.values()))),
-                               _stability(trans_max, 0.25)))
-    reports.append(LemmaReport("commutator_multiplier", f"d=2,nu={nu}",
-                               mult_max[nref],
-                               float(np.median(list(mult_max.values()))),
-                               _stability(mult_max, 0.25)))
-    reports.append(LemmaReport("commutator_multiplier_divfree", f"d=2,nu={nu}",
-                               mult_div_max[nref],
-                               float(np.median(list(mult_div_max.values()))),
-                               _stability(mult_div_max, 0.25)))
-    return reports
+    idx_s, one, zero = (BesovIndex(s, 2, 1), BesovIndex(1.0, 2, 1),
+                        BesovIndex(0.0, 2, 1))
+
+    def low_sum(f, bands):
+        return sum(lp_norm(dyadic_block(f, j, bands), 2)
+                   for j in bands.low_bands(nu))
+
+    def trial(grid, bands, rng):
+        u = random_field(grid, rng, decay=3.25, vector=True)
+        v = random_field(grid, rng, decay=2.0)
+        w = random_field(grid, rng, decay=2.0, vector=True)
+        gu = gradient_norm_field(u)
+        ratios = {}
+        den = besov_norm(gu, one, bands) * besov_norm(v, idx_s, bands)
+        if den > 1e-14:
+            comms = commutator_transport(u, v, bands)
+            total = sum(2.0**(j * s) * lp_norm(c, 2)
+                        for j, c in zip(bands.j_range, comms))
+            ratios["transport"] = total / den
+        # zero-order multiplier commutator [P, u.grad] w on vectors, summed
+        # over the low bands
+        nw = sum(besov_norm(part, zero, bands)
+                 for part in split_low_high(w, nu, bands))
+        Pw = leray_project(w)
+        acc = low_sum(leray_project(advect(u, w)) - advect(u, Pw), bands)
+        den_m = sum(besov_norm(part, one, bands)
+                    for part in split_low_high(gu, nu, bands)) * nw
+        if den_m > 1e-14 and acc > 0:
+            ratios["multiplier"] = acc / den_m
+        udiv = leray_project(u)
+        acc2 = low_sum(leray_project(advect(udiv, w)) - advect(udiv, Pw), bands)
+        den2 = besov_norm(gradient_norm_field(udiv), one, bands) * nw
+        if den2 > 1e-14 and acc2 > 0:
+            ratios["divfree"] = acc2 / den2
+        return ratios
+
+    maxes = _refine(("transport", "multiplier", "divfree"), trial, trials,
+                    grid_sizes, seed)
+    return [_report("commutator_transport", f"d=2,s={s}", maxes["transport"],
+                    0.25),
+            _report("commutator_multiplier", f"d=2,nu={nu}",
+                    maxes["multiplier"], 0.25),
+            _report("commutator_multiplier_divfree", f"d=2,nu={nu}",
+                    maxes["divfree"], 0.25)]
 
 
 def gradient_norm_field(u: SpectralField) -> SpectralField:
@@ -372,38 +356,34 @@ def check_heat_regularity(mu_values=(0.1, 1.0, 10.0), N: int = 32,
 def check_composition(trials: int = 100, gammas=(1.0, 1.4, 2.0),
                       grid_sizes=(16, 32, 64), seed: int = 0) -> list:
     """Composition bound for ``G(f) = (1+f)^(gamma-1) - 1`` at small
-    ``||f||_inf`` (fields rescaled to sup 0.1)."""
-    reports = []
+    ``||f||_inf`` (fields rescaled to sup 0.1); every gamma is measured on
+    the same trials."""
     s = 0.5
+    idx = BesovIndex(s, 2, 1)
+
+    def trial(grid, bands, rng):
+        f = random_field(grid, rng, decay=2.5)
+        sup = lp_norm(f, math.inf)
+        if sup < 1e-14:
+            return {}
+        f = f * (0.1 / sup)
+        nf = besov_norm(f, idx, bands)
+        if nf < 1e-14:
+            return {}
+        samples = inverse_transform(f)
+        return {gamma: besov_norm(forward_transform(pressure_law(samples, gamma),
+                                                    grid), idx, bands) / nf
+                for gamma in gammas}
+
+    maxes = _refine(gammas, trial, trials, grid_sizes, seed)
+    reports = []
     for gamma in gammas:
-        maxes = {}
-        for N in grid_sizes:
-            grid = make_grid(2, N)
-            bands = build_partition(grid)
-            rng = np.random.default_rng(seed)
-            ratios = []
-            for _ in range(trials):
-                f = random_field(grid, rng, decay=2.5)
-                sup = lp_norm(f, math.inf)
-                if sup < 1e-14:
-                    continue
-                f = f * (0.1 / sup)
-                nf = besov_norm(f, BesovIndex(s, 2, 1), bands)
-                if nf < 1e-14:
-                    continue
-                gf = forward_transform(pressure_law(inverse_transform(f), gamma), grid)
-                ratios.append(besov_norm(gf, BesovIndex(s, 2, 1), bands) / nf)
-            if not ratios:
-                maxes[N] = 0.0
-            else:
-                maxes[N] = max(ratios)
-        nref = max(grid_sizes)
-        stable = (_stability(maxes, 0.25) if gamma != 1.0
-                  else all(v == 0.0 for v in maxes.values()))
-        reports.append(LemmaReport("composition", f"gamma={gamma},s={s}",
-                                   maxes[nref],
-                                   float(np.median(list(maxes.values()))),
-                                   stable))
+        report = _report("composition", f"gamma={gamma},s={s}", maxes[gamma],
+                         0.25)
+        if gamma == 1.0:  # G vanishes identically: every ratio must be 0
+            report = replace(report, stable=all(
+                v == 0.0 for v in maxes[gamma].values()))
+        reports.append(report)
     return reports
 
 
@@ -450,14 +430,18 @@ def check_oscillatory_scaling(ms=(1, 2, 3, 4, 5), p: float = 4.0, N: int = 128,
                        slope, target, abs(slope - target) <= 0.1)
 
 
-def run_all(seed: int = 0, trials: int = 100) -> list:
-    """Full suite with canonical parameters; deterministic for a fixed seed."""
-    reports = []
-    reports += check_bernstein(trials=trials, seed=seed)
-    reports += check_product_laws(trials=trials, seed=seed)
-    reports += check_commutators(trials=trials, seed=seed)
-    reports += check_heat_regularity(seed=seed)
-    reports += check_composition(trials=trials, seed=seed)
-    reports.append(check_oscillatory_scaling(p=2.0))
-    reports.append(check_oscillatory_scaling(p=4.0))
-    return reports
+# lemma id (the ``lemmas`` config key) -> the reports of its checks.  Each
+# entry looks its ``check_*`` function up in the module namespace when it
+# runs, so a rebinding of that name (a stub, a tracing wrapper) is honoured.
+CHECKS = {
+    "bernstein": lambda trials, seed: check_bernstein(trials=trials, seed=seed),
+    "product_laws": lambda trials, seed: check_product_laws(trials=trials,
+                                                            seed=seed),
+    "commutators": lambda trials, seed: check_commutators(trials=trials,
+                                                          seed=seed),
+    "heat": lambda trials, seed: check_heat_regularity(seed=seed),
+    "composition": lambda trials, seed: check_composition(trials=trials,
+                                                          seed=seed),
+    "oscillatory": lambda trials, seed: [check_oscillatory_scaling(p=2.0),
+                                         check_oscillatory_scaling(p=4.0)],
+}

@@ -105,7 +105,6 @@ class FlowState:
 class StepperConfig:
     cfl: float = 0.4
     dt_max: float = 0.05
-    snapshot_stride: int = 1
     a_inf_max: float = 0.9
     vacuum_floor: float = 0.1
     field_max: float = 1e8
@@ -115,6 +114,10 @@ class StepperConfig:
     def __post_init__(self) -> None:
         if not 0 < self.cfl < 1:
             raise SpectralError(f"cfl={self.cfl} must lie in (0, 1)")
+        if not self.dt_max > 0:
+            raise SpectralError(f"dt_max={self.dt_max} must be > 0")
+        if self.fixed_dt is not None and not self.fixed_dt > 0:
+            raise SpectralError(f"fixed_dt={self.fixed_dt} must be > 0")
 
 
 @dataclass
@@ -462,7 +465,7 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     return forward_transform(np.stack([vx, vy, vz]), grid)
 
 
-def _adaptive_dt(grid: Grid, samples: np.ndarray, params: PhysicalParams | None,
+def _adaptive_dt(grid: Grid, samples: np.ndarray, params: PhysicalParams,
                  config: StepperConfig, system: str) -> float:
     """Time step from the state's samples (as returned by :func:`_check_state`)."""
     if config.fixed_dt is not None:
@@ -470,7 +473,7 @@ def _adaptive_dt(grid: Grid, samples: np.ndarray, params: PhysicalParams | None,
     vmax = _speed_max(samples, system)
     dt_adv = grid.dx / vmax if vmax > 0 else math.inf
     dt_visc = math.inf
-    if system == "cns" and not config.linear_only and params is not None:
+    if system == "cns" and not config.linear_only:
         a_s = samples[0]
         amax = float(np.max(np.abs(a_s / (1.0 + a_s))))
         if amax > 0:
@@ -493,7 +496,7 @@ def _require_real(f: SpectralField, name: str) -> None:
             f"inside the 2/3 box (max |c| = {scale:.3e})")
 
 
-def run(initial: FlowState, params: PhysicalParams | None,
+def run(initial: FlowState, params: PhysicalParams,
         config: StepperConfig, horizon: float, system: str = "cns",
         snap_times=None) -> Trajectory:
     """Advance to ``horizon`` with adaptive steps, recording snapshots.
@@ -502,7 +505,7 @@ def run(initial: FlowState, params: PhysicalParams | None,
     stepper; for "ins" the density component of the state is carried along
     unchanged.  When ``snap_times`` is given, steps are clipped so states are
     recorded exactly at those times (shared-time comparisons across runs);
-    otherwise snapshots are taken every ``config.snapshot_stride`` steps.
+    otherwise every step is recorded.
     The initial fields must be real (Hermitian coefficients inside the 2/3
     box), else :class:`SpectralError` is raised.  Every state goes through
     the blow-up guards before it is stepped from or recorded.  Returns the
@@ -523,7 +526,6 @@ def run(initial: FlowState, params: PhysicalParams | None,
         pending = [s for s in sorted(snap_times) if s > state.t + 1e-13]
     else:
         pending = None
-    steps = 0
     terminated = "horizon"
     try:
         samples = _check_state(state, config, system)
@@ -536,15 +538,11 @@ def run(initial: FlowState, params: PhysicalParams | None,
             if system == "cns":
                 state = step_cns(state, params, dt, config, checked=True)
             else:
-                state = step_ins(state, params.mu if params else 1.0, dt, config)
+                state = step_ins(state, params.mu, dt, config)
             samples = _check_state(state, config, system)
-            steps += 1
-            record = False
-            if pending is not None:
-                if pending and abs(state.t - pending[0]) < 1e-10:
-                    pending.pop(0)
-                    record = True
-            elif steps % config.snapshot_stride == 0:
+            record = pending is None
+            if pending and abs(state.t - pending[0]) < 1e-10:
+                pending.pop(0)
                 record = True
             if record or state.t >= horizon - 1e-12:
                 if abs(state.t - times[-1]) > 1e-13:

@@ -20,7 +20,11 @@ from bcns.cli import (
     parse_config,
 )
 from bcns.io import write_snapshot
-from bcns.lemmas import check_oscillatory_scaling, oscillatory_norm
+from bcns.lemmas import (
+    LemmaReport,
+    check_oscillatory_scaling,
+    oscillatory_norm,
+)
 from bcns.spectral import SpectralField, forward_transform, make_grid
 
 
@@ -219,6 +223,38 @@ def test_lemmas_unknown_id(tmp_path):
     assert rc == 2
 
 
+def test_lemmas_dispatch_reads_the_module_binding(tmp_path, monkeypatch):
+    # the check table must call whatever bcns.lemmas binds at run time
+    stub = LemmaReport("stub_lemma", "x=1", 1.5, 0.25, True)
+    monkeypatch.setattr(bcns.lemmas, "check_heat_regularity",
+                        lambda seed: [stub])
+    cfg = parse_config(f"lemmas = heat\noutput_dir = {tmp_path}\n")
+    assert cmd_lemmas(cfg) == 0
+    lines = (tmp_path / "lemmas.csv").read_text().splitlines()
+    assert lines[1:] == ["stub_lemma,x=1,1.50000000000000000e+00,"
+                         "2.50000000000000000e-01,true"]
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", "N = 16\nT = 0.1\nsnapshots = 3\ndt_max = 0\n", "dt_max"),
+    ("simulate", "N = 16\nT = 0.1\nsnapshots = 3\ndt_max = -0.01\n", "dt_max"),
+    ("sweep", SWEEP_CFG + "dt_max = 0\n", "dt_max"),
+    ("simulate", "N = 16\nT = 0\n", "'T'"),
+    ("simulate", "N = 16\nT = -1\n", "'T'"),
+    ("simulate", "N = 16\nT = nan\n", "'T'"),
+    ("simulate", "N = 16\nT = inf\n", "'T'"),
+    ("lemmas", "trials = 0\nlemmas = product_laws\n", "'trials'"),
+    ("lemmas", "trials = -3\nlemmas = composition\n", "'trials'"),
+])
+def test_bad_step_horizon_or_trials_exits_2(tmp_path, capsys, command, text,
+                                            key):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
 def test_norms_zero_field(tmp_path, capsys):
     g = make_grid(2, 16)
     snap = tmp_path / "z.snap"
@@ -270,6 +306,13 @@ def test_readme_keys_table_matches_parser():
             parse_config(f"{key} = 0\n")
         except ConfigError as exc:
             assert "unknown key" not in str(exc)
+
+
+def test_readme_lemma_ids_match_check_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = next(ln for ln in readme.splitlines()
+               if ln.startswith("| `trials`, `lemmas` |"))
+    assert re.findall(r"`([^`]+)`", row.split("|")[3]) == list(bcns.lemmas.CHECKS)
 
 
 def test_norms_corrupt_snapshot(tmp_path):

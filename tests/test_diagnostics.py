@@ -133,14 +133,13 @@ def test_h1_gamma2_kills_pressure_term():
 
 def test_h2_term_kill_audit():
     g = _grid()
-    params = PhysicalParams(mu=1.0, lam=0.0)
     # a = 0 and solenoidal difference zero: u is a pure gradient
     x, _ = g.meshes()
     u = forward_transform(
         np.stack([np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
     V = taylor_green(g)
     Vt, Put, Qut = (_rand_vec(g, 14), zeros(g, vector=True), _rand_vec(g, 15))
-    terms = h2_terms(zeros(g), u, V, Vt, Put, Qut, params)
+    terms = h2_terms(zeros(g), u, V, Vt, Put, Qut)
     for i in (0, 1, 2, 3, 5):
         assert lp_norm(terms[i], 2) <= 1e-13, f"term {i+1} should vanish"
     assert lp_norm(terms[4], 2) > 1e-3  # advection coupling V with Qu survives
@@ -148,10 +147,9 @@ def test_h2_term_kill_audit():
 
 def test_h2_all_zero():
     g = _grid()
-    params = PhysicalParams(mu=1.0, lam=0.0)
     Vt, Put, Qut = _zero_tderivs(g)
     terms = h2_terms(zeros(g), zeros(g, vector=True), zeros(g, vector=True),
-                     Vt, Put, Qut, params)
+                     Vt, Put, Qut)
     assert all(lp_norm(t, 2) == 0.0 for t in terms)
 
 

@@ -61,6 +61,14 @@ def test_commutator_reports():
         assert r.stable
 
 
+def test_refinement_without_a_measured_ratio_raises():
+    with pytest.raises(SpectralError, match="ratio"):
+        check_product_laws(trials=0)
+    # nu = 4 leaves no low band, so the multiplier ratio is never measured
+    with pytest.raises(SpectralError, match="multiplier"):
+        check_commutators(trials=2, grid_sizes=(16,), nu=4.0)
+
+
 def test_heat_regularity_mu_uniform():
     reports = check_heat_regularity(mu_values=(0.1, 1.0, 10.0), N=16)
     assert len(reports) == 2
@@ -75,6 +83,15 @@ def test_composition_special_cases():
     assert reports["gamma=2.0,s=0.5"].max_ratio == pytest.approx(1.0, rel=1e-12)
     g14 = reports["gamma=1.4,s=0.5"]
     assert g14.stable and 0.0 < g14.max_ratio < 2.0
+
+
+def test_composition_gammas_share_trials():
+    # one pass over the trials gives each gamma the report of its own pass
+    both = check_composition(trials=10, gammas=(1.0, 1.4, 2.0),
+                             grid_sizes=(16, 32), seed=2)
+    alone = check_composition(trials=10, gammas=(1.4,), grid_sizes=(16, 32),
+                              seed=2)
+    assert both[1] == alone[0]
 
 
 def test_oscillatory_scaling_slopes():

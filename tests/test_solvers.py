@@ -64,6 +64,12 @@ def test_params_validation():
 def test_stepper_config_validation():
     with pytest.raises(SpectralError):
         StepperConfig(cfl=1.5)
+    # a step that cannot be positive would leave run() stepping forever
+    for field, value in (("dt_max", 0.0), ("dt_max", -0.1), ("dt_max", math.nan),
+                         ("fixed_dt", 0.0), ("fixed_dt", -1e-3)):
+        with pytest.raises(SpectralError, match=field):
+            StepperConfig(**{field: value})
+    assert StepperConfig(fixed_dt=1e-3).fixed_dt == 1e-3
 
 
 def test_pressure_law_exact_cases():
