@@ -135,8 +135,9 @@ def _validate(cfg: RunConfig, path: str) -> None:
         raise ConfigError(f"{path}: key 'N' must be even and >= 8, got {cfg.N}")
     if not 0 < cfg.cfl < 1:
         raise ConfigError(f"{path}: key 'cfl' must lie in (0,1), got {cfg.cfl}")
-    if cfg.nu_list and any(b <= a for a, b in zip(cfg.nu_list, cfg.nu_list[1:])):
-        raise ConfigError(f"{path}: key 'nu_list' must be strictly increasing")
+    if any(b <= a for a, b in zip(cfg.nu_list, cfg.nu_list[1:])) or not all(
+            0 < nu < math.inf for nu in cfg.nu_list):
+        raise ConfigError(f"{path}: key 'nu_list' must rise strictly, finite and > 0")
     if cfg.system not in ("both", "cns", "ins"):
         raise ConfigError(f"{path}: key 'system' must be both|cns|ins")
     if cfg.write_snapshots not in ("final", "all", "none"):
@@ -147,11 +148,22 @@ def _validate(cfg: RunConfig, path: str) -> None:
         raise ConfigError(f"{path}: key 'T' must be finite and > 0, got {cfg.T}")
     if cfg.trials < 1:
         raise ConfigError(f"{path}: key 'trials' must be >= 1, got {cfg.trials}")
+    if cfg.seed < 0:
+        raise ConfigError(f"{path}: key 'seed' must be >= 0, got {cfg.seed}")
+    if not cfg.lemmas.replace(",", "").strip():
+        raise ConfigError(f"{path}: key 'lemmas' selects no lemma")
     for name in cfg.lemmas.split(","):
         name = name.strip()
         if name and name != "all" and name not in lemma_suite.CHECKS:
             raise ConfigError(f"{path}: unknown lemma id '{name}' "
                               f"(valid: {', '.join(lemma_suite.CHECKS)})")
+    for key in ("amp", "compressible_amp"):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{path}: key '{key}' must be finite")
+    try:
+        cfg.params(), cfg.stepper()
+    except SpectralError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -160,6 +172,13 @@ def load_config(path: str) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, path)
+
+
+def _read_snapshot_key(key: str, path: str):
+    try:
+        return read_snapshot(path)[0]
+    except (SnapshotError, OSError) as exc:
+        raise ConfigError(f"key '{key}': cannot read snapshot {path}: {exc}") from exc
 
 
 def initial_data(cfg: RunConfig):
@@ -186,7 +205,7 @@ def initial_data(cfg: RunConfig):
         v0 = f * (cfg.amp / sup if sup > 0 else 0.0)
     elif cfg.initial.startswith("file:"):
         snap_path = cfg.initial.split(":", 1)[1]
-        f, _ = read_snapshot(snap_path)
+        f = _read_snapshot_key("initial", snap_path)
         if f.grid != grid or not f.is_vector:
             raise ConfigError(f"initial file {snap_path} does not hold a vector "
                               f"field on a {cfg.d}D N={cfg.N} grid")
@@ -198,7 +217,7 @@ def initial_data(cfg: RunConfig):
         stack[0] = cfg.compressible_amp * np.sin(xs[0] + np.zeros(grid.shape))
         v0 = v0 + forward_transform(stack, grid)
     if cfg.a0_file:
-        a0, _ = read_snapshot(cfg.a0_file)
+        a0 = _read_snapshot_key("a0_file", cfg.a0_file)
         if a0.grid != grid or a0.is_vector:
             raise ConfigError(f"a0 file {cfg.a0_file} does not hold a scalar "
                               f"field on the configured grid")
@@ -395,6 +414,7 @@ def main(argv=None) -> int:
             cfg.output_dir = args.out
         if args.seed is not None:
             cfg.seed = args.seed
+            _validate(cfg, "--seed")
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "sweep":

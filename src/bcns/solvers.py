@@ -5,7 +5,8 @@ Fourier space and treat the dealiased nonlinear remainder with explicit
 second-order Runge-Kutta (Heun) through the integrating factor, so the time
 step is limited by advection (and by the variable-coefficient viscous
 remainder of the compressible system), never by acoustics or by the
-dominant viscosity.
+dominant viscosity.  The flow steps run on the half spectrum of real
+transforms with per-grid scratch buffers that no result aliases.
 
 Compressible system, nonconservative form (momentum equation divided by the
 density ``1 + a``, pressure normalized so ``P'(1) = 1``):
@@ -24,6 +25,7 @@ exponential of ``[[0, -i|k|], [-i|k|, -nu |k|^2]]`` with ``nu = lam + 2 mu``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -66,11 +68,11 @@ class PhysicalParams:
     gamma: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.mu <= 0:
-            raise SpectralError(f"shear viscosity mu={self.mu} must be > 0")
-        if self.nu <= 0:
-            raise SpectralError(f"nu = lam + 2 mu = {self.nu} must be > 0")
-        if self.gamma < 1:
+        if not 0 < self.mu < math.inf:
+            raise SpectralError(f"shear viscosity mu={self.mu} must be finite and > 0")
+        if not 0 < self.nu < math.inf:
+            raise SpectralError(f"nu = lambda + 2 mu = {self.nu} must be finite and > 0")
+        if not 1 <= self.gamma < math.inf:
             raise SpectralError(f"pressure exponent gamma={self.gamma} must be >= 1")
 
     @property
@@ -118,6 +120,11 @@ class StepperConfig:
             raise SpectralError(f"dt_max={self.dt_max} must be > 0")
         if self.fixed_dt is not None and not self.fixed_dt > 0:
             raise SpectralError(f"fixed_dt={self.fixed_dt} must be > 0")
+        for name in ("a_inf_max", "field_max"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise SpectralError(f"{name}={getattr(self, name)} must be in (0, inf)")
+        if not 0 <= self.vacuum_floor < 1:
+            raise SpectralError(f"vacuum_floor={self.vacuum_floor} must lie in [0, 1)")
 
 
 @dataclass
@@ -145,8 +152,8 @@ def _sinhc(z: np.ndarray) -> np.ndarray:
 def acoustic_propagator(k2: np.ndarray, nu: float, dt: float):
     """Exact exponential of ``dt * [[0, -i|k|], [-i|k|, -nu |k|^2]]`` per mode.
 
-    Returns the four entry arrays ``(E11, E12, E21, E22)``; the eigenvalues
-    of the matrix are ``lam_pm = (-nu k^2 +- sqrt(nu^2 k^4 - 4 k^2)) / 2``.
+    Returns the entry arrays ``(E11, E12, E21, E22)``, ``E21`` being ``E12``;
+    the eigenvalues are ``lam_pm = (-nu k^2 +- sqrt(nu^2 k^4 - 4 k^2)) / 2``.
     Both have nonpositive real part, so everything is assembled from
     ``exp(lam_pm dt)`` directly and stays finite for arbitrarily stiff
     modes.
@@ -169,37 +176,113 @@ def acoustic_propagator(k2: np.ndarray, nu: float, dt: float):
     e11 = cosh_term + s_term * (0.5 * nu * k2c)
     e12 = s_term * (-1j * kmag)
     e22 = cosh_term - s_term * (0.5 * nu * k2c)
-    return e11, e12, e12.copy(), e22
+    return e11, e12, e12, e22
+
+
+# The steps compute on the half spectrum k_d <= N/2 that real transforms read.
+# The tendencies dealias first, so the Nyquist planes (where the linear flow
+# breaks the symmetry) never enter and columns k_d >= N/3 are skipped; the
+# guards read any state through its Hermitian part, i.e. its real samples.
+
+class _Workspace:
+    """Half-lattice multipliers, dealias-pruned real transforms (``m`` of the
+    ``N/2 + 1`` half columns have ``k_d < N/3``) and reused buffers of a grid."""
+
+    def __init__(self, grid: Grid):
+        d, N, h = grid.d, grid.N, grid.N // 2 + 1
+        self.grid, self.h, self.shape = grid, h, grid.shape[:-1] + (h,)
+        self.m = int(np.count_nonzero(np.arange(h) < N / 3.0))
+        self.mask, self.k2 = grid.dealias_mask[..., :h], grid.k2[..., :h]
+        self.ik = [1j * kj[..., :h] for kj in grid.k]
+        self.khat = [kj[..., :h] / np.maximum(grid.kmag[..., :h], 1.0) for kj in grid.k]
+        self._axes = tuple(range(-d, 0))
+        self._buffers = {}
+
+    def buffer(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        """The workspace's zero-initialised array for these arguments."""
+        key = (name, shape, dtype)
+        if key not in self._buffers:
+            self._buffers[key] = np.zeros(shape, dtype=dtype)
+        return self._buffers[key]
+
+    def inverse(self, stack: np.ndarray) -> np.ndarray:
+        """Samples of dealiased half spectra (bitwise ``irfftn``) into a buffer;
+        overwrites the ``m`` kept columns of ``stack``, the rest must be 0."""
+        kept = stack[..., : self.m]
+        for ax in self._axes[:-1]:  # the order of irfftn
+            np.fft.ifft(kept, axis=ax, norm="forward", out=kept)
+        out = self.buffer("inverse", stack.shape[:1] + self.grid.shape, np.float64)
+        return np.fft.irfft(stack, n=self.grid.N, axis=-1, norm="forward", out=out)
+
+    def forward(self, samples: np.ndarray) -> np.ndarray:
+        """Dealiased half spectra (bitwise ``rfftn`` times the mask) into a buffer."""
+        shape = samples.shape[:-1] + (self.h,)
+        rows = np.fft.rfft(samples, axis=-1, norm="forward",
+                           out=self.buffer("rfft", shape))[..., : self.m]
+        out = self.buffer("forward", shape)
+        kept = out[..., : self.m]
+        for ax in reversed(self._axes[:-1]):  # the order of rfftn
+            rows = np.fft.fft(rows, axis=ax, norm="forward", out=kept)
+        np.multiply(kept, self.mask[..., : self.m], out=kept)
+        return out
+
+    def _conj_mirror(self, src: np.ndarray, dst: np.ndarray, cols: list) -> None:
+        """``dst = conj(src(-k))``; ``cols`` pairs last-axis (dst, src) slices."""
+        lead = [(slice(0, 1),) * 2, (slice(1, None), slice(None, 0, -1))]
+        for rows in itertools.product(lead, repeat=self.grid.d - 1):
+            for to, fro in cols:
+                np.conj(src[(..., *(r[1] for r in rows), fro)],
+                        out=dst[(..., *(r[0] for r in rows), to)])
+
+    def full(self, half: np.ndarray) -> np.ndarray:
+        """A new whole-lattice stack from half spectra, by ``c(-k) = conj(c(k))``."""
+        out = np.empty(half.shape[:1] + self.grid.shape, dtype=np.complex128)
+        out[..., : self.h] = half
+        self._conj_mirror(half, out, [(slice(self.h, None), slice(self.h - 2, 0, -1))])
+        return out
+
+    def real_samples(self, coeffs: np.ndarray) -> np.ndarray:
+        """Samples of any whole-lattice stack, as :func:`inverse_transform` gives."""
+        herm = self.buffer("herm", coeffs.shape[:1] + self.shape)
+        self._conj_mirror(coeffs, herm, [(slice(0, 1),) * 2,
+                                         (slice(1, self.h), slice(-1, -self.h, -1))])
+        herm += coeffs[..., : self.h]
+        herm *= 0.5
+        out = self.buffer("samples", coeffs.shape[:1] + self.grid.shape, np.float64)
+        return np.fft.irfftn(herm, s=self.grid.shape, axes=self._axes,
+                             norm="forward", out=out)
+
+
+_workspace = lru_cache(maxsize=2)(_Workspace)  # per grid, cached like _propagator
 
 
 class _LinearPropagator:
-    """Per-grid tables applying the exact linear flow for one time step.
+    """Half-lattice tables applying the exact linear flow for one time step.
 
     Instances are shared through :func:`_propagator`, so the tables are
     read-only.
     """
 
     def __init__(self, grid: Grid, mu: float, nu: float, dt: float):
+        ws = _workspace(grid)
         self.grid = grid
-        self.transverse = np.exp(-mu * grid.k2 * dt)
-        self.e11, self.e12, self.e21, self.e22 = acoustic_propagator(grid.k2, nu, dt)
-        kmag = grid.kmag.copy()
-        kmag[(0,) * grid.d] = 1.0
-        self.khat = [grid.k[ax] / kmag for ax in range(grid.d)]
-        for table in (self.transverse, self.e11, self.e12, self.e21, self.e22,
-                      *self.khat):
+        self.khat = ws.khat
+        self.transverse = np.exp(-mu * ws.k2 * dt)
+        self.e11, self.e12, _, self.e22 = acoustic_propagator(ws.k2, nu, dt)
+        for table in (self.transverse, self.e11, self.e12, self.e22):
             table.setflags(write=False)
 
-    def __call__(self, a_coeffs: np.ndarray, v_coeffs: np.ndarray):
-        g = self.grid
-        vlong = sum(self.khat[ax] * v_coeffs[ax] for ax in range(g.d))
-        a_new = self.e11 * a_coeffs + self.e12 * vlong
-        vlong_new = self.e21 * a_coeffs + self.e22 * vlong
-        v_new = np.empty_like(v_coeffs)
-        for ax in range(g.d):
-            perp = v_coeffs[ax] - self.khat[ax] * vlong
-            v_new[ax] = self.transverse * perp + self.khat[ax] * vlong_new
-        return a_new, v_new
+    def __call__(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The new stack ``[a, v_1, ..., v_d]`` one step later."""
+        khat = self.khat
+        vlong = sum(khat[ax] * v[ax] for ax in range(self.grid.d))
+        out = np.empty((self.grid.d + 1,) + a.shape, dtype=np.complex128)
+        np.add(self.e11 * a, self.e12 * vlong, out=out[0])
+        vlong_new = self.e12 * a + self.e22 * vlong
+        for ax in range(self.grid.d):
+            np.add(self.transverse * (v[ax] - khat[ax] * vlong), khat[ax] * vlong_new,
+                   out=out[1 + ax])
+        return out
 
 
 @lru_cache(maxsize=2)
@@ -210,68 +293,9 @@ def _propagator(grid: Grid, mu: float, nu: float, dt: float) -> _LinearPropagato
     return _LinearPropagator(grid, mu, nu, dt)
 
 
-# Real fields are evaluated in physical space with real transforms, which
-# read and write only the half spectrum 0 <= k_d <= N/2 of the last axis and
-# take the other half to be its conjugate.  The tendencies dealias every
-# field first, so the Nyquist planes (the only modes whose conjugate partner
-# is not on the lattice, where the linear flow and the Leray projection break
-# the symmetry) never enter; the blow-up guards read any state through its
-# Hermitian part, which gives exactly the real part of the complex inverse.
-
-def _half(grid: Grid, arr: np.ndarray) -> np.ndarray:
-    """View of ``arr`` on the half spectrum of the last axis."""
-    return arr[..., : grid.N // 2 + 1]
-
-
-def _half_multipliers(grid: Grid):
-    """Dealias mask, ``i k_j`` per axis and ``|k|^2`` on the half spectrum."""
-    return (_half(grid, grid.dealias_mask),
-            [1j * _half(grid, kj) for kj in grid.k],
-            _half(grid, grid.k2))
-
-
-def _to_samples(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real samples of a stack of half-spectrum coefficient arrays."""
-    return np.fft.irfftn(half, s=grid.shape, axes=tuple(range(-grid.d, 0)),
-                         norm="forward")
-
-
-def _to_half(samples: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half-spectrum coefficients of a stack of real sample arrays."""
-    return np.fft.rfftn(samples, axes=tuple(range(-grid.d, 0)), norm="forward")
-
-
-def _reflect(coeffs: np.ndarray, cols: slice, grid: Grid) -> np.ndarray:
-    """``c(-k)`` for the last-axis indices ``cols``: ``coeffs`` read at the
-    negated frequency of every axis (which must lie inside ``coeffs``)."""
-    neg = -np.arange(grid.N) % grid.N
-    out = coeffs[..., neg[cols]]
-    for ax in range(-grid.d, -1):
-        out = np.take(out, neg, axis=ax)
-    return out
-
-
-def _full_spectrum(half: np.ndarray, grid: Grid) -> np.ndarray:
-    """Coefficients on the whole lattice from the half spectrum, by
-    ``c(-k) = conj(c(k))``."""
-    h = grid.N // 2 + 1
-    full = np.empty(half.shape[:-1] + (grid.N,), dtype=np.complex128)
-    full[..., :h] = half
-    np.conj(_reflect(half, slice(h, grid.N), grid), out=full[..., h:])
-    return full
-
-
-def _real_samples(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """The real part of the complex inverse transform of ``coeffs`` (as
-    :func:`inverse_transform`), for any coefficients: the real inverse of
-    their Hermitian part ``(c(k) + conj(c(-k)))/2``."""
-    h = grid.N // 2 + 1
-    herm = 0.5 * (_half(grid, coeffs) + np.conj(_reflect(coeffs, slice(0, h), grid)))
-    return _to_samples(herm, grid)
-
-
-def _cns_tendency(a: SpectralField, v: SpectralField, params: PhysicalParams):
-    """Dealiased nonlinear remainder of the nonconservative system.
+def _cns_tendency(ws: _Workspace, a, v, params: PhysicalParams) -> np.ndarray:
+    """Dealiased nonlinear remainder ``[N_a, N_v1, ..., N_vd]`` of the
+    nonconservative system, a new stack, from the half spectra of ``a``, ``v``.
 
     One physical-space evaluation: the dealiased ``a``, ``v``, ``grad v``
     and viscous term (and ``grad a`` when ``gamma != 2``) go to physical
@@ -279,52 +303,53 @@ def _cns_tendency(a: SpectralField, v: SpectralField, params: PhysicalParams):
     pressure-law coefficient) are 2/3-truncated before they multiply, and
     the ``2d`` products come back in one batched forward transform.
     """
-    grid = a.grid
+    grid = ws.grid
     d = grid.d
-    mask, ik, k2 = _half_multipliers(grid)
-    ah = _half(grid, a.coeffs) * mask
-    vh = _half(grid, v.coeffs) * mask
-    divv = sum(ik[j] * vh[j] for j in range(d))
-    fields = [ah, *vh]
-    fields += [ik[j] * vh[i] for i in range(d) for j in range(d)]
-    fields += [-params.mu * k2 * vh[i] + (params.mu + params.lam) * ik[i] * divv
-               for i in range(d)]
+    mask, ik, k2 = ws.mask, ws.ik, ws.k2
     pressure = params.gamma != 2.0
-    if pressure:
-        fields += [ik[i] * ah for i in range(d)]
-    s = _to_samples(np.stack(fields), grid)
-    a_s, v_s, grad_v, visc, grad_a = np.split(s, np.cumsum([1, d, d * d, d]))
-    a_s = a_s[0]
-    grad_v = grad_v.reshape((d, d) + grid.shape)  # [i, j] = d_j v_i
+    f = ws.buffer("cns", (1 + 2 * d + d * d + (d if pressure else 0),) + ws.shape)
+    ah, vh = np.multiply(a, mask, out=f[0]), np.multiply(v, mask, out=f[1:1 + d])
+    divv = sum(ik[j] * vh[j] for j in range(d))
+    for i in range(d):
+        for j in range(d):
+            np.multiply(ik[j], vh[i], out=f[1 + d + d * i + j])
+        np.add(-params.mu * k2 * vh[i], (params.mu + params.lam) * ik[i] * divv,
+               out=f[1 + d + d * d + i])
+        if pressure:
+            np.multiply(ik[i], ah, out=f[1 + 2 * d + d * d + i])
+    s = ws.inverse(f)
+    a_s, v_s = s[0], s[1:1 + d]
+    grad_v = s[1 + d:1 + d + d * d].reshape((d, d) + grid.shape)  # [i, j] = d_j v_i
+    visc, grad_a = s[1 + d + d * d:1 + 2 * d + d * d], s[1 + 2 * d + d * d:]
 
     dens = 1.0 + a_s
     coeffs = [a_s / dens]
     if pressure:
         coeffs.append((pressure_law(a_s, params.gamma) - a_s) / dens)
-    coeffs = _to_samples(_to_half(np.stack(coeffs), grid) * mask, grid)
+    coeffs = ws.inverse(ws.forward(np.stack(coeffs)))
 
-    out = np.empty((2 * d,) + grid.shape)
-    out[:d] = a_s * v_s
+    out = ws.buffer("cns_products", (2 * d,) + grid.shape, np.float64)
+    np.multiply(a_s, v_s, out=out[:d])
     out[d:] = -np.sum(v_s[None] * grad_v, axis=1) - coeffs[0] * visc
     if pressure:
         out[d:] -= coeffs[1] * grad_a
-    oh = _to_half(out, grid) * mask
+    oh = ws.forward(out)
     na = -sum(ik[j] * oh[j] for j in range(d))
-    full = _full_spectrum(np.concatenate([na[None], oh[d:]]), grid)
-    return full[0], full[1:]
+    return np.concatenate([na[None], oh[d:]])
 
 
 def _check_state(state: FlowState, config: StepperConfig,
-                 system: str = "cns") -> np.ndarray:
+                 system: str = "cns") -> tuple:
     """Blow-up guards on the state's physical values, ``[a, v_1, ..., v_d]``
-    for "cns" and ``v`` for "ins", from one batched inverse transform;
-    returns them for the time-step bound."""
+    for "cns" and ``v`` for "ins", from one batched inverse transform; returns
+    the time-step bounds: maximal speed and max ``|a/(1+a)|`` (0 for "ins")."""
     coeffs = (state.v.coeffs if system == "ins"
               else np.concatenate([state.a.coeffs[None], state.v.coeffs]))
-    samples = _real_samples(coeffs, state.v.grid)
+    samples = _workspace(state.v.grid).real_samples(coeffs)
     t = state.t
     if not np.all(np.isfinite(samples)):
         raise BlowupError(t, "non-finite field values")
+    ratio = 0.0
     if system == "cns":
         a_s = samples[0]
         amax = float(np.max(np.abs(a_s)))
@@ -332,14 +357,12 @@ def _check_state(state: FlowState, config: StepperConfig,
             raise BlowupError(t, f"density deviation {amax:.3e} > {config.a_inf_max}")
         if float(1.0 + np.min(a_s)) <= config.vacuum_floor:
             raise BlowupError(t, f"density {1.0 + np.min(a_s):.3e} at vacuum guard")
-    if _speed_max(samples, system) > config.field_max:
-        raise BlowupError(t, "velocity magnitude overflow")
-    return samples
-
-
-def _speed_max(samples: np.ndarray, system: str) -> float:
+        ratio = float(np.max(np.abs(a_s / (1.0 + a_s))))
     v_s = samples[1:] if system == "cns" else samples
-    return float(np.max(np.sqrt(np.sum(v_s * v_s, axis=0))))
+    speed = float(np.max(np.sqrt(np.sum(v_s * v_s, axis=0))))
+    if speed > config.field_max:
+        raise BlowupError(t, "velocity magnitude overflow")
+    return speed, ratio
 
 
 def step_cns(state: FlowState, params: PhysicalParams, dt: float,
@@ -352,10 +375,10 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
     the identity.
 
     Precondition: ``a`` and ``v`` are real fields, i.e. their coefficients
-    inside the 2/3 box are Hermitian, ``c(-k) = conj(c(k))``.  The nonlinear
-    terms are evaluated with real transforms, which read only half of the
-    spectrum and take the other half to be its conjugate.  ``run`` rejects
-    initial data that breaks this, and each step keeps it to roundoff.
+    inside the 2/3 box are Hermitian, ``c(-k) = conj(c(k))``.  The step
+    reads only half of the spectrum and takes the other half to be its
+    conjugate.  ``run`` rejects initial data that breaks this, and each step
+    keeps it to roundoff.
 
     The input state goes through the blow-up guards unless ``checked`` says
     the caller has done so (``run`` checks every state it steps from).
@@ -363,34 +386,34 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
     grid = state.a.grid
     if not checked:
         _check_state(state, config)
+    ws = _workspace(grid)
     prop = _propagator(grid, params.mu, params.nu, dt)
-    pa, pv = prop(state.a.coeffs, state.v.coeffs)
-    if config.linear_only:
-        return FlowState(SpectralField(grid, pa), SpectralField(grid, pv),
-                         state.t + dt)
-    k1a, k1v = _cns_tendency(state.a, state.v, params)
-    p1a, p1v = prop(k1a, k1v)
-    mid_a = SpectralField(grid, pa + dt * p1a)
-    mid_v = SpectralField(grid, pv + dt * p1v)
-    k2a, k2v = _cns_tendency(mid_a, mid_v, params)
-    a_new = SpectralField(grid, pa + 0.5 * dt * (p1a + k2a))
-    v_new = SpectralField(grid, pv + 0.5 * dt * (p1v + k2v))
-    return FlowState(a_new, v_new, state.t + dt)
+    a, v = state.a.coeffs[..., :ws.h], state.v.coeffs[..., :ws.h]
+    u = prop(a, v)
+    if not config.linear_only:
+        k1 = _cns_tendency(ws, a, v, params)
+        p1 = prop(k1[0], k1[1:])
+        mid = u + dt * p1
+        k2 = _cns_tendency(ws, mid[0], mid[1:], params)
+        u = u + 0.5 * dt * (p1 + k2)
+    u = ws.full(u)
+    return FlowState(SpectralField(grid, u[0]), SpectralField(grid, u[1:]),
+                     state.t + dt)
 
 
-def _ins_tendency(V: SpectralField) -> np.ndarray:
-    """Projected transport term ``-P((V . grad) V)``: one batched inverse of
-    the dealiased ``[V, grad V]``, one forward transform of the product."""
-    grid = V.grid
+def _ins_tendency(ws: _Workspace, v: np.ndarray) -> np.ndarray:
+    """Projected transport term ``-P((V . grad) V)``, a new half spectrum, from
+    that of ``V``: one batched inverse of the dealiased ``[V, grad V]``, one
+    forward transform of the product."""
+    grid = ws.grid
     d = grid.d
-    mask, ik, _ = _half_multipliers(grid)
-    vh = _half(grid, V.coeffs) * mask
-    s = _to_samples(np.stack([*vh] + [ik[j] * vh[i] for i in range(d)
-                                      for j in range(d)]), grid)
+    vh = v * ws.mask
+    s = ws.inverse(np.stack([*vh] + [ws.ik[j] * vh[i] for i in range(d)
+                                     for j in range(d)],
+                            out=ws.buffer("ins", (d + d * d,) + ws.shape)))
     grad_v = s[d:].reshape((d, d) + grid.shape)  # [i, j] = d_j V_i
-    adv = np.sum(s[None, :d] * grad_v, axis=1)
-    adv_h = _to_half(adv, grid) * mask
-    return leray_project(SpectralField(grid, -_full_spectrum(adv_h, grid))).coeffs
+    adv_h = ws.forward(np.sum(s[None, :d] * grad_v, axis=1))
+    return leray_project(SpectralField(grid, -ws.full(adv_h))).coeffs[..., :ws.h]
 
 
 def step_ins(state: FlowState, mu: float, dt: float,
@@ -410,15 +433,15 @@ def step_ins(state: FlowState, mu: float, dt: float,
     v_norm = lp_norm(state.v, 2)
     if div_norm > 1e-12 * max(v_norm, 1e-300):
         raise SpectralError(f"step_ins needs div V = 0 (got {div_norm:.3e})")
-    decay = np.exp(-mu * grid.k2 * dt)
-    pv = decay * state.v.coeffs
-    if config.linear_only:
-        return replace(state, v=SpectralField(grid, pv), t=state.t + dt)
-    k1 = _ins_tendency(state.v)
-    mid = SpectralField(grid, pv + dt * decay * k1)
-    k2 = _ins_tendency(mid)
-    v_new = SpectralField(grid, pv + 0.5 * dt * (decay * k1 + k2))
-    return replace(state, v=v_new, t=state.t + dt)
+    ws = _workspace(grid)
+    decay = np.exp(-mu * ws.k2 * dt)
+    v = state.v.coeffs[..., :ws.h]
+    pv = decay * v
+    if not config.linear_only:
+        k1 = _ins_tendency(ws, v)
+        k2 = _ins_tendency(ws, pv + dt * decay * k1)
+        pv = pv + 0.5 * dt * (decay * k1 + k2)
+    return replace(state, v=SpectralField(grid, ws.full(pv)), t=state.t + dt)
 
 
 def ins_pressure(V: SpectralField) -> SpectralField:
@@ -465,22 +488,19 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     return forward_transform(np.stack([vx, vy, vz]), grid)
 
 
-def _adaptive_dt(grid: Grid, samples: np.ndarray, params: PhysicalParams,
+def _adaptive_dt(grid: Grid, bounds: tuple, params: PhysicalParams,
                  config: StepperConfig, system: str) -> float:
-    """Time step from the state's samples (as returned by :func:`_check_state`)."""
+    """Time step from the state's bounds (as returned by :func:`_check_state`)."""
     if config.fixed_dt is not None:
         return config.fixed_dt
-    vmax = _speed_max(samples, system)
+    vmax, amax = bounds
     dt_adv = grid.dx / vmax if vmax > 0 else math.inf
     dt_visc = math.inf
-    if system == "cns" and not config.linear_only:
-        a_s = samples[0]
-        amax = float(np.max(np.abs(a_s / (1.0 + a_s))))
-        if amax > 0:
-            # explicit Heun stability for the variable-coefficient viscous
-            # remainder ~ (a/(1+a)) nu Lap v on the dealiased band
-            k2max = float(np.max(grid.k2[grid.dealias_mask]))
-            dt_visc = 2.0 / (params.nu * amax * k2max)
+    if system == "cns" and not config.linear_only and amax > 0:
+        # explicit Heun stability for the variable-coefficient viscous
+        # remainder ~ (a/(1+a)) nu Lap v on the dealiased band
+        k2max = float(np.max(grid.k2[grid.dealias_mask]))
+        dt_visc = 2.0 / (params.nu * amax * k2max)
     return config.cfl * min(dt_adv, config.dt_max, dt_visc)
 
 
@@ -528,9 +548,9 @@ def run(initial: FlowState, params: PhysicalParams,
         pending = None
     terminated = "horizon"
     try:
-        samples = _check_state(state, config, system)
+        bounds = _check_state(state, config, system)
         while state.t < horizon - 1e-12:
-            dt = _adaptive_dt(grid, samples, params, config, system)
+            dt = _adaptive_dt(grid, bounds, params, config, system)
             dt = min(dt, horizon - state.t)
             if pending:
                 dt = min(dt, pending[0] - state.t)
@@ -539,7 +559,7 @@ def run(initial: FlowState, params: PhysicalParams,
                 state = step_cns(state, params, dt, config, checked=True)
             else:
                 state = step_ins(state, params.mu, dt, config)
-            samples = _check_state(state, config, system)
+            bounds = _check_state(state, config, system)
             record = pending is None
             if pending and abs(state.t - pending[0]) < 1e-10:
                 pending.pop(0)

@@ -255,6 +255,42 @@ def test_bad_step_horizon_or_trials_exits_2(tmp_path, capsys, command, text,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", "N = 16\nT = 0.05\ninitial = file:no_such.snap\n", "'initial'"),
+    ("simulate", "N = 16\nT = 0.05\na0_file = no_such.snap\n", "'a0_file'"),
+    ("lemmas", "seed = -1\nlemmas = heat\n", "'seed'"),
+    ("simulate", "N = 16\nT = 0.05\nmu = nan\n", "mu="),
+    ("simulate", "N = 16\nT = 0.05\nnu = nan\n", "nu ="),
+    ("simulate", "N = 16\nT = 0.05\nlambda = nan\n", "lambda"),
+    ("simulate", "N = 16\nT = 0.05\ngamma = nan\n", "gamma="),
+    ("simulate", "N = 16\nT = 0.05\namp = nan\n", "'amp'"),
+    ("simulate", "N = 16\nT = 0.05\ncompressible_amp = inf\n", "'compressible_amp'"),
+    ("simulate", "N = 16\nT = 0.05\nvacuum_floor = nan\n", "vacuum_floor="),
+    ("simulate", "N = 16\nT = 0.05\na_inf_max = -1\n", "a_inf_max="),
+    ("sweep", "N = 16\nT = 0.05\nnu_list = 10, 40, inf\n", "'nu_list'"),
+    ("sweep", "N = 16\nT = 0.05\nnu_list = -1, 40, 160\n", "'nu_list'"),
+    ("lemmas", "lemmas = ,\n", "'lemmas'"),
+])
+def test_bad_parameter_or_unreadable_file_exits_2(tmp_path, capsys, command, text,
+                                                  key):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(text)
+    rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    cfgfile = tmp_path / "lemmas.cfg"
+    cfgfile.write_text("lemmas = heat\n")
+    rc = main(["lemmas", "--config", str(cfgfile), "--out", str(tmp_path / "o"),
+               "--seed", "-5"])
+    assert rc == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_norms_zero_field(tmp_path, capsys):
     g = make_grid(2, 16)
     snap = tmp_path / "z.snap"

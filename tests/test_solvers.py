@@ -18,7 +18,7 @@ from bcns.solvers import (
     _ins_tendency,
     _LinearPropagator,
     _propagator,
-    _real_samples,
+    _workspace,
     acoustic_propagator,
     kinetic_energy,
     pressure_law,
@@ -57,6 +57,12 @@ def test_params_validation():
         PhysicalParams(mu=0.5, lam=-2.0)  # nu = -1
     with pytest.raises(SpectralError):
         PhysicalParams(mu=1.0, lam=0.0, gamma=0.5)
+    # NaN passes every <= comparison; infinities are not viscosities
+    for kwargs in ({"mu": math.nan, "lam": 0.0}, {"mu": 1.0, "lam": math.nan},
+                   {"mu": 1.0, "lam": 0.0, "gamma": math.nan},
+                   {"mu": math.inf, "lam": 0.0}, {"mu": 1.0, "lam": math.inf}):
+        with pytest.raises(SpectralError):
+            PhysicalParams(**kwargs)
     q = PhysicalParams.from_nu(1.0, 40.0)
     assert q.nu == pytest.approx(40.0) and q.lam == pytest.approx(38.0)
 
@@ -66,7 +72,10 @@ def test_stepper_config_validation():
         StepperConfig(cfl=1.5)
     # a step that cannot be positive would leave run() stepping forever
     for field, value in (("dt_max", 0.0), ("dt_max", -0.1), ("dt_max", math.nan),
-                         ("fixed_dt", 0.0), ("fixed_dt", -1e-3)):
+                         ("fixed_dt", 0.0), ("fixed_dt", -1e-3),
+                         ("a_inf_max", -1.0), ("a_inf_max", math.nan),
+                         ("vacuum_floor", math.nan), ("vacuum_floor", 1.0),
+                         ("vacuum_floor", -0.1), ("field_max", math.inf)):
         with pytest.raises(SpectralError, match=field):
             StepperConfig(**{field: value})
     assert StepperConfig(fixed_dt=1e-3).fixed_dt == 1e-3
@@ -440,15 +449,19 @@ def _rel_diff(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
+def _half(c):
+    return c[..., : c.shape[-1] // 2 + 1]
+
+
 @pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
 def test_cns_tendency_matches_product_chain(d, N, gamma):
     a, v = _random_state(d, N)
     params = PhysicalParams(mu=0.7, lam=1.3, gamma=gamma)
-    na, nv = _cns_tendency(a, v, params)
+    n = _cns_tendency(_workspace(a.grid), _half(a.coeffs), _half(v.coeffs), params)
     want_a, want_v = _product_chain_cns_tendency(a, v, params)
-    assert _rel_diff(na, want_a) <= 1e-13
-    assert _rel_diff(nv, want_v) <= 1e-13
+    assert _rel_diff(n[0], _half(want_a)) <= 1e-13
+    assert _rel_diff(n[1:], _half(want_v)) <= 1e-13
 
 
 @pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
@@ -456,7 +469,123 @@ def test_ins_tendency_matches_projected_advection(d, N):
     _, v = _random_state(d, N)
     V = leray_project(v)
     want = leray_project(-advect(V, V)).coeffs
-    assert _rel_diff(_ins_tendency(V), want) <= 1e-13
+    got = _ins_tendency(_workspace(V.grid), _half(V.coeffs))
+    assert _rel_diff(got, _half(want)) <= 1e-13
+
+
+def _whole_lattice_step_cns(state, params, dt):
+    # oracle: the Heun step with the linear flow applied on the whole
+    # lattice, each tendency rebuilt on the whole lattice from its real
+    # transforms by c(-k) = conj(c(k))
+    g = state.a.grid
+    d, h = g.d, g.N // 2 + 1
+    axes = tuple(range(-d, 0))
+    kmag = g.kmag.copy()
+    kmag[(0,) * d] = 1.0
+    khat = [k / kmag for k in g.k]
+    transverse = np.exp(-params.mu * g.k2 * dt)
+    e11, e12, e21, e22 = acoustic_propagator(g.k2, params.nu, dt)
+
+    def prop(a, v):
+        vlong = sum(khat[i] * v[i] for i in range(d))
+        vlong_new = e21 * a + e22 * vlong
+        return e11 * a + e12 * vlong, np.stack(
+            [transverse * (v[i] - khat[i] * vlong) + khat[i] * vlong_new
+             for i in range(d)])
+
+    def whole(half):
+        pad = np.zeros(half.shape[:-1] + (g.N,), dtype=complex)
+        pad[..., :h] = half
+        mirror = np.conj(np.roll(np.flip(pad, axes), 1, axes))
+        pad[..., h:] = mirror[..., h:]
+        return pad
+
+    def tendency(a, v):
+        mask = _half(g.dealias_mask)
+        ik = [1j * _half(k) for k in g.k]
+        ah, vh = _half(a) * mask, _half(v) * mask
+        divv = sum(ik[j] * vh[j] for j in range(d))
+        fields = [ah, *vh] + [ik[j] * vh[i] for i in range(d) for j in range(d)]
+        fields += [-params.mu * _half(g.k2) * vh[i]
+                   + (params.mu + params.lam) * ik[i] * divv for i in range(d)]
+        fields += [ik[i] * ah for i in range(d)]
+        s = np.fft.irfftn(np.stack(fields), s=g.shape, axes=axes, norm="forward")
+        a_s, v_s = s[0], s[1:1 + d]
+        grad_v = s[1 + d:1 + d + d * d].reshape((d, d) + g.shape)
+        visc, grad_a = s[1 + d + d * d:1 + 2 * d + d * d], s[1 + 2 * d + d * d:]
+        dens = 1.0 + a_s
+        coeffs = np.stack([a_s / dens, (pressure_law(a_s, params.gamma) - a_s) / dens])
+        coeffs = np.fft.irfftn(np.fft.rfftn(coeffs, axes=axes, norm="forward") * mask,
+                               s=g.shape, axes=axes, norm="forward")
+        out = np.concatenate([a_s * v_s, -np.sum(v_s[None] * grad_v, axis=1)
+                              - coeffs[0] * visc - coeffs[1] * grad_a])
+        oh = np.fft.rfftn(out, axes=axes, norm="forward") * mask
+        na = -sum(ik[j] * oh[j] for j in range(d))
+        full = whole(np.concatenate([na[None], oh[d:]]))
+        return full[0], full[1:]
+
+    pa, pv = prop(state.a.coeffs, state.v.coeffs)
+    k1a, k1v = tendency(state.a.coeffs, state.v.coeffs)
+    p1a, p1v = prop(k1a, k1v)
+    k2a, k2v = tendency(pa + dt * p1a, pv + dt * p1v)
+    return pa + 0.5 * dt * (p1a + k2a), pv + 0.5 * dt * (p1v + k2v)
+
+
+@pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
+def test_step_cns_matches_the_whole_lattice_step(d, N, gamma):
+    a, v = _random_state(d, N)
+    st = FlowState(a * 0.5, v * 0.3, 0.0)
+    params = PhysicalParams(mu=0.7, lam=1.3, gamma=gamma)
+    for _ in range(3):
+        got = step_cns(st, params, 2e-3)
+        want_a, want_v = _whole_lattice_step_cns(st, params, 2e-3)
+        assert _rel_diff(got.a.coeffs, want_a) <= 1e-14
+        assert _rel_diff(got.v.coeffs, want_v) <= 1e-14
+        st = got
+
+
+def _dealiased_stack(g, nf, rng):
+    c = (rng.standard_normal((nf,) + g.shape)
+         + 1j * rng.standard_normal((nf,) + g.shape))
+    return _half(c * g.dealias_mask)
+
+
+@pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+def test_workspace_transforms_are_bitwise_the_real_transforms(d, N):
+    g = make_grid(d, N)
+    ws = _workspace(g)
+    axes = tuple(range(-d, 0))
+    rng = np.random.default_rng(3)
+    for nf in (1, 2 * d + d * d + 1):
+        stack = _dealiased_stack(g, nf, rng)
+        want = np.fft.irfftn(stack, s=g.shape, axes=axes, norm="forward")
+        assert np.array_equal(ws.inverse(stack.copy()), want)
+        samples = rng.standard_normal((nf,) + g.shape)
+        want = np.fft.rfftn(samples, axes=axes, norm="forward") * ws.mask
+        assert np.array_equal(ws.forward(samples), want)
+
+
+@pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+def test_results_never_alias_the_workspace(d, N):
+    a, v = _random_state(d, N)
+    V = leray_project(v)
+    params = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4)
+    ws = _workspace(a.grid)
+
+    def results(scale):
+        return [_cns_tendency(ws, _half(a.coeffs) * scale, _half(v.coeffs), params),
+                _ins_tendency(ws, _half(V.coeffs) * scale),
+                *vars(step_cns(FlowState(a * scale, v, 0.0), params, 1e-3)).values(),
+                step_ins(FlowState(a, V * scale, 0.0), 0.7, 1e-3).v]
+
+    first = results(0.5)
+    arrays = [getattr(r, "coeffs", r) for r in first if not isinstance(r, float)]
+    kept = [x.copy() for x in arrays]
+    results(0.25)
+    for x, y in zip(arrays, kept):
+        assert np.array_equal(x, y)
+        assert not any(np.shares_memory(x, b) for b in ws._buffers.values())
 
 
 @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
@@ -467,7 +596,8 @@ def test_guard_samples_equal_the_complex_inverse_for_any_coefficients(d, N):
     c = rng.standard_normal((d + 1,) + g.shape) + 1j * rng.standard_normal(
         (d + 1,) + g.shape)
     want = inverse_transform(SpectralField(g, c))
-    assert np.max(np.abs(_real_samples(c, g) - want)) <= 1e-13 * np.max(np.abs(want))
+    got = _workspace(g).real_samples(c)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_cached_propagator_steps_bit_identical_to_fresh_build():
@@ -492,7 +622,8 @@ def test_propagator_cache_never_returns_a_stale_table():
         got = _propagator(*key)
         want = _LinearPropagator(*key)
         assert got.grid == key[0]
-        for name in ("transverse", "e11", "e12", "e21", "e22"):
+        assert got.e11.shape == (key[0].N, key[0].N // 2 + 1)  # half lattice
+        for name in ("transverse", "e11", "e12", "e22"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (key, name)
         with pytest.raises(ValueError):
             got.e11[(0,) * key[0].d] = 0.0  # shared tables are read-only
