@@ -154,8 +154,8 @@ def split_low_high(f: SpectralField, nu: float, bands: DyadicBands):
     """Split ``f - mean(f)`` into low bands (``2^j nu <= 1``) and the rest."""
     low_js = bands.low_bands(nu)
     g = f.grid
-    low_mult = np.zeros(g.shape)
-    high_mult = np.zeros(g.shape)
+    low_mult = np.zeros(g.spectral_shape)
+    high_mult = np.zeros(g.spectral_shape)
     for j in bands.j_range:
         if j in low_js:
             low_mult += bands.phi_mult[j]

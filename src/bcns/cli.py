@@ -19,7 +19,14 @@ import numpy as np
 from . import lemmas as lemma_suite
 from .bands import BesovIndex, band_lp_norms, besov_sum, build_partition
 from .calculus import leray_project
-from .diagnostics import SweepResult, fit_rate, limit_error, norm_ledger
+from .diagnostics import (
+    FitError,
+    SweepResult,
+    check_viscosities,
+    fit_rate,
+    limit_error,
+    norm_ledger,
+)
 from .io import SnapshotError, read_snapshot, write_snapshot
 from .lemmas import oscillatory_data, random_field
 from .solvers import (
@@ -40,10 +47,6 @@ from .spectral import (
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class FitError(RuntimeError):
     pass
 
 
@@ -144,6 +147,8 @@ def _validate(cfg: RunConfig, path: str) -> None:
         raise ConfigError(f"{path}: key 'write_snapshots' must be final|all|none")
     if cfg.snapshots < 2:
         raise ConfigError(f"{path}: key 'snapshots' must be >= 2")
+    if not cfg.p >= 1:  # NaN fails too
+        raise ConfigError(f"{path}: key 'p' must be >= 1, got {cfg.p}")
     if not 0 < cfg.T < math.inf:
         raise ConfigError(f"{path}: key 'T' must be finite and > 0, got {cfg.T}")
     if cfg.trials < 1:
@@ -294,12 +299,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def sweep_once(cfg: RunConfig):
-    """One full viscosity sweep; returns (SweepResult, bands)."""
+    """One full viscosity sweep; returns (SweepResult, bands).  Viscosities
+    that cannot carry the rate fit raise :class:`FitError` before any run."""
     if cfg.a0_file:
         raise ConfigError("sweep enforces a0 = 0; remove 'a0_file'")
+    check_viscosities(cfg.nu_list)
     grid, a0, v0 = initial_data(cfg)
     bands = build_partition(grid)
-    params0 = cfg.params(cfg.nu_list[0] if cfg.nu_list else None)
+    params0 = cfg.params(cfg.nu_list[0])
     stepcfg = cfg.stepper()
     snap_times = np.linspace(0.0, cfg.T, cfg.snapshots)
     V0 = leray_project(v0)
@@ -320,18 +327,11 @@ def sweep_once(cfg: RunConfig):
         err = limit_error(traj, traj_ins, cfg.p, bands, cfg.mu, nu)
         nus.append(nu)
         errors.append(err)
-    try:
-        slope, resid = fit_rate(nus, [e.err_sup for e in errors])
-    except SpectralError as exc:
-        raise FitError(str(exc)) from exc
+    slope, resid = fit_rate(nus, [e.err_sup for e in errors])
     return SweepResult(nus, errors, slope, resid, excluded), bands
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    if len(cfg.nu_list) < 3:
-        print(f"sweep: fit needs >= 3 viscosity values, got {len(cfg.nu_list)}",
-              file=sys.stderr)
-        return 4
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:

@@ -422,22 +422,33 @@ class SweepResult:
     excluded: list         # (nu, reason) for members dropped from the fit
 
 
+class FitError(SpectralError):
+    """Viscosities or errors that cannot carry the rate fit."""
+
+
+def check_viscosities(nu_values) -> None:
+    """Raise unless the viscosities can carry a rate fit: at least 3 strictly
+    increasing values spanning 1.5 decades."""
+    nu_values = np.asarray(nu_values, dtype=np.float64)
+    if len(nu_values) < 3:
+        raise FitError("rate fit needs at least 3 viscosity values")
+    if np.any(np.diff(nu_values) <= 0):
+        raise FitError("viscosity values must be strictly increasing")
+    if nu_values[-1] / nu_values[0] < 10**1.5:
+        raise FitError("viscosity values must span at least 1.5 decades")
+
+
 def fit_rate(nu_values, errors):
     """Least-squares slope of ``log(error)`` against ``log(nu)``.
 
-    Needs at least 3 strictly increasing values spanning 1.5 decades and
-    positive errors; returns ``(slope, rms_residual)``.
+    Needs viscosities that pass :func:`check_viscosities` and positive
+    errors; returns ``(slope, rms_residual)``.
     """
+    check_viscosities(nu_values)
     nu_values = np.asarray(nu_values, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
-    if len(nu_values) < 3:
-        raise SpectralError("rate fit needs at least 3 viscosity values")
-    if np.any(np.diff(nu_values) <= 0):
-        raise SpectralError("viscosity values must be strictly increasing")
-    if nu_values[-1] / nu_values[0] < 10**1.5:
-        raise SpectralError("viscosity values must span at least 1.5 decades")
     if np.any(errors <= 1e-13):
-        raise SpectralError("rate fit needs errors above roundoff scale")
+        raise FitError("rate fit needs errors above roundoff scale")
     logx = np.log(nu_values)
     logy = np.log(errors)
     slope, intercept = np.polyfit(logx, logy, 1)

@@ -1,14 +1,22 @@
-"""Snapshot file format.
+"""Snapshot file format: expand on write, check on read.
 
 Layout: one ASCII header line ``BCNS1 d N rank t`` (``rank`` is the number
 of components: 1 for a scalar, d for a vector; ``t`` is the snapshot time,
 written with ``repr`` so it round-trips bit-exactly), followed by raw
-little-endian 64-bit float pairs (re, im), one pair per lattice mode, in
-row-major (C) order over the FFT-ordered frequency axes with components
-outermost.  Round-trips are bit-exact.
+little-endian 64-bit float pairs (re, im), one pair per mode of the whole
+lattice, in row-major (C) order over the FFT-ordered frequency axes with
+components outermost.
+
+A field lives in memory as its half spectrum (see :mod:`bcns.spectral`).
+``write_snapshot`` expands it to the whole lattice by ``c(-k) =
+conj(c(k))``; ``read_snapshot`` checks that symmetry inside the 2/3 box,
+relative to the largest coefficient there, and keeps the half spectrum.
+Round-trips are bit-exact.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -21,14 +29,23 @@ class SnapshotError(SpectralError):
     """Malformed snapshot file."""
 
 
+def _negated(whole: np.ndarray, d: int) -> np.ndarray:
+    """``c(-k)`` of a whole-lattice stack."""
+    axes = tuple(range(-d, 0))
+    return np.roll(np.flip(whole, axes), 1, axes)
+
+
 def write_snapshot(path, f: SpectralField, t: float) -> None:
     g = f.grid
     rank = f.ncomp
     header = f"{MAGIC} {g.d} {g.N} {rank} {float(t)!r}\n"
-    data = np.ascontiguousarray(f.coeffs, dtype="<c16")
+    h = g.N // 2 + 1
+    whole = np.zeros(f.coeffs.shape[:-1] + (g.N,), dtype="<c16")
+    whole[..., :h] = f.coeffs
+    whole[..., h:] = np.conj(_negated(whole, g.d)[..., h:])
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(data.tobytes())
+        fh.write(whole.tobytes())
 
 
 def read_snapshot(path) -> tuple[SpectralField, float]:
@@ -60,6 +77,15 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
         extra = fh.read(1)
         if extra:
             raise SnapshotError(f"{path}: trailing bytes after payload")
-    coeffs = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
     shape = grid.shape if rank == 1 else (rank,) + grid.shape
-    return SpectralField(grid, coeffs.reshape(shape)), t
+    whole = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(shape)
+    inside = np.meshgrid(*[np.abs(np.fft.fftfreq(N, 1.0 / N)) < N / 3.0] * d,
+                         indexing="ij", sparse=True)
+    box = whole * functools.reduce(np.logical_and, inside)
+    defect = float(np.max(np.abs(_negated(box, d) - np.conj(box))))
+    scale = float(np.max(np.abs(box)))
+    if defect > 1e-12 * scale:
+        raise SnapshotError(
+            f"{path}: not a real field: c(-k) - conj(c(k)) reaches {defect:.3e} "
+            f"inside the 2/3 box (max |c| = {scale:.3e})")
+    return SpectralField(grid, whole[..., :N // 2 + 1].copy()), t

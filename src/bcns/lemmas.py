@@ -8,7 +8,7 @@ Documented negative cases are expected to diverge with resolution and are
 reported with ``stable=False`` semantics inverted by the caller.
 
 Random ensemble: i.i.d. complex Gaussian coefficients under an isotropic
-power-law envelope, Hermitian-symmetrized, mean-free, seeded.  The default
+power-law envelope, made real, mean-free, seeded.  The default
 envelope exponent is ``d/2 + 1``; individual checks steepen it where needed
 so that the right-hand-side norms stay finite as the grid is refined
 (otherwise a ratio drift would merely measure the divergence of the
@@ -65,20 +65,22 @@ class LemmaReport:
 def random_field(grid: Grid, rng: np.random.Generator, decay: float | None = None,
                  vector: bool = False) -> SpectralField:
     """Seeded random real field with envelope ``|k|^-decay`` (default
-    ``d/2 + 1``), zero mean, Nyquist planes excluded."""
+    ``d/2 + 1``), zero mean, Nyquist planes excluded: the real part of the
+    sample field of one complex normal per mode of the whole lattice."""
     if decay is None:
         decay = grid.d / 2.0 + 1.0
     shape = (grid.d,) + grid.shape if vector else grid.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    kmag = grid.kmag.copy()
+    k = np.meshgrid(*[np.fft.fftfreq(grid.N, 1.0 / grid.N)] * grid.d,
+                    indexing="ij", sparse=True)
+    kmag = np.sqrt(sum(ki**2 for ki in k))
     kmag[(0,) * grid.d] = 1.0
     env = kmag**(-decay)
     env[(0,) * grid.d] = 0.0
-    for ax in range(grid.d):
-        env = np.where(grid.k[ax] == -grid.N // 2, 0.0, env)
-    f = SpectralField(grid, raw * env)
-    # Hermitian symmetrization: keep the real part of the sample field
-    return forward_transform(inverse_transform(f), grid)
+    for ki in k:
+        env = np.where(ki == -grid.N // 2, 0.0, env)
+    samples = np.fft.ifftn(raw * env * grid.N**grid.d, axes=tuple(range(-grid.d, 0)))
+    return forward_transform(samples.real, grid)
 
 
 def _lacunary_pair(grid: Grid, rng: np.random.Generator, s1: float, s2: float):

@@ -5,8 +5,8 @@ Fourier space and treat the dealiased nonlinear remainder with explicit
 second-order Runge-Kutta (Heun) through the integrating factor, so the time
 step is limited by advection (and by the variable-coefficient viscous
 remainder of the compressible system), never by acoustics or by the
-dominant viscosity.  The flow steps run on the half spectrum of real
-transforms with per-grid scratch buffers that no result aliases.
+dominant viscosity.  The flow steps use per-grid scratch buffers that no
+result aliases.
 
 Compressible system, nonconservative form (momentum equation divided by the
 density ``1 + a``, pressure normalized so ``P'(1) = 1``):
@@ -25,7 +25,6 @@ exponential of ``[[0, -i|k|], [-i|k|, -nu |k|^2]]`` with ``nu = lam + 2 mu``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -37,7 +36,6 @@ from .spectral import (
     Grid,
     SpectralField,
     SpectralError,
-    dealias,
     divergence,
     forward_transform,
     inv_laplacian,
@@ -111,7 +109,6 @@ class StepperConfig:
     vacuum_floor: float = 0.1
     field_max: float = 1e8
     fixed_dt: float | None = None
-    linear_only: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.cfl < 1:
@@ -179,23 +176,17 @@ def acoustic_propagator(k2: np.ndarray, nu: float, dt: float):
     return e11, e12, e12, e22
 
 
-# The steps compute on the half spectrum k_d <= N/2 that real transforms read.
-# The tendencies dealias first, so the Nyquist planes (where the linear flow
-# breaks the symmetry) never enter and columns k_d >= N/3 are skipped; the
-# guards read any state through its Hermitian part, i.e. its real samples.
-
 class _Workspace:
-    """Half-lattice multipliers, dealias-pruned real transforms (``m`` of the
-    ``N/2 + 1`` half columns have ``k_d < N/3``) and reused buffers of a grid."""
+    """Multipliers, dealias-pruned transforms (``m`` of the ``N/2 + 1``
+    columns have ``k_d < N/3``) and reused buffers of a grid."""
 
     def __init__(self, grid: Grid):
-        d, N, h = grid.d, grid.N, grid.N // 2 + 1
-        self.grid, self.h, self.shape = grid, h, grid.shape[:-1] + (h,)
-        self.m = int(np.count_nonzero(np.arange(h) < N / 3.0))
-        self.mask, self.k2 = grid.dealias_mask[..., :h], grid.k2[..., :h]
-        self.ik = [1j * kj[..., :h] for kj in grid.k]
-        self.khat = [kj[..., :h] / np.maximum(grid.kmag[..., :h], 1.0) for kj in grid.k]
-        self._axes = tuple(range(-d, 0))
+        self.grid = grid
+        self.m = int(np.count_nonzero(np.arange(grid.N // 2 + 1) < grid.N / 3.0))
+        self.k2max = float(np.max(grid.k2[grid.dealias_mask]))
+        self.ik = [1j * kj for kj in grid.k]
+        self.khat = [kj / np.maximum(grid.kmag, 1.0) for kj in grid.k]
+        self._axes = tuple(range(-grid.d, 0))
         self._buffers = {}
 
     def buffer(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
@@ -216,40 +207,20 @@ class _Workspace:
 
     def forward(self, samples: np.ndarray) -> np.ndarray:
         """Dealiased half spectra (bitwise ``rfftn`` times the mask) into a buffer."""
-        shape = samples.shape[:-1] + (self.h,)
+        shape = samples.shape[:-self.grid.d] + self.grid.spectral_shape
         rows = np.fft.rfft(samples, axis=-1, norm="forward",
                            out=self.buffer("rfft", shape))[..., : self.m]
         out = self.buffer("forward", shape)
         kept = out[..., : self.m]
         for ax in reversed(self._axes[:-1]):  # the order of rfftn
             rows = np.fft.fft(rows, axis=ax, norm="forward", out=kept)
-        np.multiply(kept, self.mask[..., : self.m], out=kept)
+        np.multiply(kept, self.grid.dealias_mask[..., : self.m], out=kept)
         return out
 
-    def _conj_mirror(self, src: np.ndarray, dst: np.ndarray, cols: list) -> None:
-        """``dst = conj(src(-k))``; ``cols`` pairs last-axis (dst, src) slices."""
-        lead = [(slice(0, 1),) * 2, (slice(1, None), slice(None, 0, -1))]
-        for rows in itertools.product(lead, repeat=self.grid.d - 1):
-            for to, fro in cols:
-                np.conj(src[(..., *(r[1] for r in rows), fro)],
-                        out=dst[(..., *(r[0] for r in rows), to)])
-
-    def full(self, half: np.ndarray) -> np.ndarray:
-        """A new whole-lattice stack from half spectra, by ``c(-k) = conj(c(k))``."""
-        out = np.empty(half.shape[:1] + self.grid.shape, dtype=np.complex128)
-        out[..., : self.h] = half
-        self._conj_mirror(half, out, [(slice(self.h, None), slice(self.h - 2, 0, -1))])
-        return out
-
-    def real_samples(self, coeffs: np.ndarray) -> np.ndarray:
-        """Samples of any whole-lattice stack, as :func:`inverse_transform` gives."""
-        herm = self.buffer("herm", coeffs.shape[:1] + self.shape)
-        self._conj_mirror(coeffs, herm, [(slice(0, 1),) * 2,
-                                         (slice(1, self.h), slice(-1, -self.h, -1))])
-        herm += coeffs[..., : self.h]
-        herm *= 0.5
-        out = self.buffer("samples", coeffs.shape[:1] + self.grid.shape, np.float64)
-        return np.fft.irfftn(herm, s=self.grid.shape, axes=self._axes,
+    def samples(self, stack: np.ndarray) -> np.ndarray:
+        """Samples of undealiased half spectra (``irfftn``) into a buffer."""
+        out = self.buffer("samples", stack.shape[:1] + self.grid.shape, np.float64)
+        return np.fft.irfftn(stack, s=self.grid.shape, axes=self._axes,
                              norm="forward", out=out)
 
 
@@ -257,7 +228,7 @@ _workspace = lru_cache(maxsize=2)(_Workspace)  # per grid, cached like _propagat
 
 
 class _LinearPropagator:
-    """Half-lattice tables applying the exact linear flow for one time step.
+    """Tables applying the exact linear flow for one time step.
 
     Instances are shared through :func:`_propagator`, so the tables are
     read-only.
@@ -267,8 +238,8 @@ class _LinearPropagator:
         ws = _workspace(grid)
         self.grid = grid
         self.khat = ws.khat
-        self.transverse = np.exp(-mu * ws.k2 * dt)
-        self.e11, self.e12, _, self.e22 = acoustic_propagator(ws.k2, nu, dt)
+        self.transverse = np.exp(-mu * grid.k2 * dt)
+        self.e11, self.e12, _, self.e22 = acoustic_propagator(grid.k2, nu, dt)
         for table in (self.transverse, self.e11, self.e12, self.e22):
             table.setflags(write=False)
 
@@ -305,9 +276,10 @@ def _cns_tendency(ws: _Workspace, a, v, params: PhysicalParams) -> np.ndarray:
     """
     grid = ws.grid
     d = grid.d
-    mask, ik, k2 = ws.mask, ws.ik, ws.k2
+    mask, ik, k2 = grid.dealias_mask, ws.ik, grid.k2
     pressure = params.gamma != 2.0
-    f = ws.buffer("cns", (1 + 2 * d + d * d + (d if pressure else 0),) + ws.shape)
+    f = ws.buffer("cns", (1 + 2 * d + d * d + (d if pressure else 0),)
+                  + grid.spectral_shape)
     ah, vh = np.multiply(a, mask, out=f[0]), np.multiply(v, mask, out=f[1:1 + d])
     divv = sum(ik[j] * vh[j] for j in range(d))
     for i in range(d):
@@ -345,7 +317,7 @@ def _check_state(state: FlowState, config: StepperConfig,
     the time-step bounds: maximal speed and max ``|a/(1+a)|`` (0 for "ins")."""
     coeffs = (state.v.coeffs if system == "ins"
               else np.concatenate([state.a.coeffs[None], state.v.coeffs]))
-    samples = _workspace(state.v.grid).real_samples(coeffs)
+    samples = _workspace(state.v.grid).samples(coeffs)
     t = state.t
     if not np.all(np.isfinite(samples)):
         raise BlowupError(t, "non-finite field values")
@@ -374,12 +346,6 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
     tendency is a divergence and the zero mode of the linear propagator is
     the identity.
 
-    Precondition: ``a`` and ``v`` are real fields, i.e. their coefficients
-    inside the 2/3 box are Hermitian, ``c(-k) = conj(c(k))``.  The step
-    reads only half of the spectrum and takes the other half to be its
-    conjugate.  ``run`` rejects initial data that breaks this, and each step
-    keeps it to roundoff.
-
     The input state goes through the blow-up guards unless ``checked`` says
     the caller has done so (``run`` checks every state it steps from).
     """
@@ -388,43 +354,39 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
         _check_state(state, config)
     ws = _workspace(grid)
     prop = _propagator(grid, params.mu, params.nu, dt)
-    a, v = state.a.coeffs[..., :ws.h], state.v.coeffs[..., :ws.h]
+    a, v = state.a.coeffs, state.v.coeffs
     u = prop(a, v)
-    if not config.linear_only:
-        k1 = _cns_tendency(ws, a, v, params)
-        p1 = prop(k1[0], k1[1:])
-        mid = u + dt * p1
-        k2 = _cns_tendency(ws, mid[0], mid[1:], params)
-        u = u + 0.5 * dt * (p1 + k2)
-    u = ws.full(u)
+    k1 = _cns_tendency(ws, a, v, params)
+    p1 = prop(k1[0], k1[1:])
+    mid = u + dt * p1
+    k2 = _cns_tendency(ws, mid[0], mid[1:], params)
+    u = u + 0.5 * dt * (p1 + k2)
     return FlowState(SpectralField(grid, u[0]), SpectralField(grid, u[1:]),
                      state.t + dt)
 
 
 def _ins_tendency(ws: _Workspace, v: np.ndarray) -> np.ndarray:
-    """Projected transport term ``-P((V . grad) V)``, a new half spectrum, from
-    that of ``V``: one batched inverse of the dealiased ``[V, grad V]``, one
+    """Projected transport term ``-P((V . grad) V)``, a new stack, from ``V``:
+    one batched inverse of the dealiased ``[V, grad V]``, one
     forward transform of the product."""
     grid = ws.grid
     d = grid.d
-    vh = v * ws.mask
+    vh = v * grid.dealias_mask
     s = ws.inverse(np.stack([*vh] + [ws.ik[j] * vh[i] for i in range(d)
                                      for j in range(d)],
-                            out=ws.buffer("ins", (d + d * d,) + ws.shape)))
+                            out=ws.buffer("ins", (d + d * d,) + grid.spectral_shape)))
     grad_v = s[d:].reshape((d, d) + grid.shape)  # [i, j] = d_j V_i
     adv_h = ws.forward(np.sum(s[None, :d] * grad_v, axis=1))
-    return leray_project(SpectralField(grid, -ws.full(adv_h))).coeffs[..., :ws.h]
+    return leray_project(SpectralField(grid, -adv_h)).coeffs
 
 
-def step_ins(state: FlowState, mu: float, dt: float,
-             config: StepperConfig = StepperConfig()) -> FlowState:
+def step_ins(state: FlowState, mu: float, dt: float) -> FlowState:
     """One Heun step of the incompressible system with exact viscous decay.
 
     The input velocity must be divergence-free; the output remains so
     because both the integrating factor and the projected nonlinearity
-    preserve the constraint.  It must also be a real field, with Hermitian
-    coefficients inside the 2/3 box (see :func:`step_cns`).  A non-finite
-    velocity raises :class:`BlowupError`.
+    preserve the constraint.  A non-finite velocity raises
+    :class:`BlowupError`.
     """
     grid = state.v.grid
     if not np.all(np.isfinite(state.v.coeffs)):
@@ -434,14 +396,13 @@ def step_ins(state: FlowState, mu: float, dt: float,
     if div_norm > 1e-12 * max(v_norm, 1e-300):
         raise SpectralError(f"step_ins needs div V = 0 (got {div_norm:.3e})")
     ws = _workspace(grid)
-    decay = np.exp(-mu * ws.k2 * dt)
-    v = state.v.coeffs[..., :ws.h]
+    decay = np.exp(-mu * grid.k2 * dt)
+    v = state.v.coeffs
     pv = decay * v
-    if not config.linear_only:
-        k1 = _ins_tendency(ws, v)
-        k2 = _ins_tendency(ws, pv + dt * decay * k1)
-        pv = pv + 0.5 * dt * (decay * k1 + k2)
-    return replace(state, v=SpectralField(grid, ws.full(pv)), t=state.t + dt)
+    k1 = _ins_tendency(ws, v)
+    k2 = _ins_tendency(ws, pv + dt * decay * k1)
+    pv = pv + 0.5 * dt * (decay * k1 + k2)
+    return replace(state, v=SpectralField(grid, pv), t=state.t + dt)
 
 
 def ins_pressure(V: SpectralField) -> SpectralField:
@@ -496,24 +457,11 @@ def _adaptive_dt(grid: Grid, bounds: tuple, params: PhysicalParams,
     vmax, amax = bounds
     dt_adv = grid.dx / vmax if vmax > 0 else math.inf
     dt_visc = math.inf
-    if system == "cns" and not config.linear_only and amax > 0:
+    if system == "cns" and amax > 0:
         # explicit Heun stability for the variable-coefficient viscous
         # remainder ~ (a/(1+a)) nu Lap v on the dealiased band
-        k2max = float(np.max(grid.k2[grid.dealias_mask]))
-        dt_visc = 2.0 / (params.nu * amax * k2max)
+        dt_visc = 2.0 / (params.nu * amax * _workspace(grid).k2max)
     return config.cfl * min(dt_adv, config.dt_max, dt_visc)
-
-
-def _require_real(f: SpectralField, name: str) -> None:
-    """Reject coefficients that are not Hermitian where the real transforms
-    of the steppers read them (inside the 2/3 box)."""
-    box = dealias(f)
-    defect = box.hermitian_defect()
-    scale = float(np.max(np.abs(box.coeffs)))
-    if defect > 1e-12 * scale:
-        raise SpectralError(
-            f"initial {name} is not a real field: Hermitian defect {defect:.3e} "
-            f"inside the 2/3 box (max |c| = {scale:.3e})")
 
 
 def run(initial: FlowState, params: PhysicalParams,
@@ -525,18 +473,13 @@ def run(initial: FlowState, params: PhysicalParams,
     stepper; for "ins" the density component of the state is carried along
     unchanged.  When ``snap_times`` is given, steps are clipped so states are
     recorded exactly at those times (shared-time comparisons across runs);
-    otherwise every step is recorded.
-    The initial fields must be real (Hermitian coefficients inside the 2/3
-    box), else :class:`SpectralError` is raised.  Every state goes through
+    otherwise every step is recorded.  Every state goes through
     the blow-up guards before it is stepped from or recorded.  Returns the
     trajectory with a termination cause of "horizon" or "blowup"; blow-ups
     are recorded as events, not raised.
     """
     if system not in ("cns", "ins"):
         raise SpectralError(f"unknown system '{system}'")
-    _require_real(initial.v, "velocity")
-    if system == "cns":
-        _require_real(initial.a, "density")
     grid = initial.v.grid
     state = initial
     times = [state.t]
@@ -558,7 +501,7 @@ def run(initial: FlowState, params: PhysicalParams,
             if system == "cns":
                 state = step_cns(state, params, dt, config, checked=True)
             else:
-                state = step_ins(state, params.mu, dt, config)
+                state = step_ins(state, params.mu, dt)
             bounds = _check_state(state, config, system)
             record = pending is None
             if pending and abs(state.t - pending[0]) < 1e-10:

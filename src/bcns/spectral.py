@@ -6,12 +6,21 @@ Conventions used throughout the package:
   uniform grid of ``N`` points per dimension (``N`` even).  Lattice
   frequencies are integers, one component in ``[-N/2, N/2)`` per axis,
   stored in NumPy FFT order (``0, 1, ..., N/2-1, -N/2, ..., -1``).
+* Every field is real and is stored as its half spectrum (the ``rfft``
+  layout): the last axis holds only the ``N/2 + 1`` columns ``k_d = 0, 1,
+  ..., N/2 - 1, -N/2``; ``c(-k) = conj(c(k))`` implies the rest.  A column
+  ``0 < k_d < N/2`` stands for the two modes ``+-k``, the columns ``k_d = 0,
+  -N/2`` for themselves (read through their Hermitian part).
 * Spectral coefficients are "mean-value" normalized: a pure mode
   ``cos(k.x)`` has coefficients 1/2 at ``+-k`` and the constant field 1 has
   coefficient 1 at ``k = 0``.  Consequently ``f(x) = sum_k c_k exp(i k.x)``.
 * ``L^p`` norms are mean-value normalized as well,
   ``||f||_p = (mean |f|^p)^(1/p)``, so ``||1||_p = 1`` for every ``p`` and
-  Parseval reads ``||f||_2^2 = sum_k |c_k|^2``.
+  Parseval reads ``||f||_2^2 = sum_k |c_k|^2``, a column ``0 < k_d < N/2``
+  counting twice.
+* Nyquist rule: a Nyquist plane (some ``k_i = -N/2``) has no conjugate
+  partner on the lattice, so odd-order derivatives zero it and the 2/3 rule
+  never keeps it.
 * All arithmetic is in 64-bit floats / 128-bit complex.
 
 Fields are immutable values: every operation returns a new ``SpectralField``.
@@ -33,7 +42,8 @@ class SpectralError(ValueError):
 class Grid:
     """Periodic grid on ``[0, 2*pi)^d`` with integer lattice frequencies.
 
-    Precomputed attributes (set in ``__post_init__``):
+    Tables on the half spectrum ``spectral_shape`` (``shape`` is the sample
+    shape), set in ``__post_init__``:
 
     * ``k``: tuple of ``d`` broadcastable integer-frequency arrays,
     * ``k2``: ``|k|^2`` per mode, ``kmag``: ``|k|``,
@@ -55,13 +65,13 @@ class Grid:
             raise SpectralError(f"mode count N={self.N} must be even and >= 8")
         k1 = np.fft.fftfreq(self.N, d=1.0 / self.N)  # exact integers as floats
         axes = []
-        for ax in range(self.d):
+        for ax, n in enumerate(self.spectral_shape):
             shape = [1] * self.d
-            shape[ax] = self.N
-            axes.append(k1.reshape(shape))
+            shape[ax] = n
+            axes.append(k1[:n].reshape(shape))
         k2 = sum(ki**2 for ki in axes)
         cutoff = self.N / 3.0
-        mask = np.ones((self.N,) * self.d, dtype=bool)
+        mask = np.ones(self.spectral_shape, dtype=bool)
         for ki in axes:
             mask &= np.abs(ki) < cutoff
         object.__setattr__(self, "k", tuple(axes))
@@ -76,6 +86,10 @@ class Grid:
     @property
     def shape(self) -> tuple:
         return (self.N,) * self.d
+
+    @property
+    def spectral_shape(self) -> tuple:
+        return (self.N,) * (self.d - 1) + (self.N // 2 + 1,)
 
     def meshes(self) -> tuple:
         """Physical coordinate arrays ``x_1, ..., x_d`` (broadcastable)."""
@@ -95,11 +109,11 @@ def make_grid(d: int, N: int) -> Grid:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Complex Fourier coefficients of a real scalar or vector field.
+    """Half spectrum of a real scalar or vector field.
 
-    ``coeffs`` has shape ``grid.shape`` for a scalar and
-    ``(ncomp,) + grid.shape`` for a vector (components outermost).  Real
-    fields satisfy the Hermitian symmetry ``c(-k) = conj(c(k))``.
+    ``coeffs`` has shape ``grid.spectral_shape`` for a scalar and
+    ``(ncomp,) + grid.spectral_shape`` for a vector (components outermost);
+    any other shape raises :class:`SpectralError`.
     """
 
     grid: Grid
@@ -107,9 +121,10 @@ class SpectralField:
 
     def __post_init__(self) -> None:
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape and c.shape[1:] != self.grid.shape:
+        shape = self.grid.spectral_shape
+        if c.shape != shape and c.shape[1:] != shape:
             raise SpectralError(
-                f"coefficient shape {c.shape} does not match grid {self.grid.shape}"
+                f"coefficient shape {c.shape} is not the half spectrum {shape}"
             )
         object.__setattr__(self, "coeffs", c)
 
@@ -127,7 +142,7 @@ class SpectralField:
         return [SpectralField(self.grid, self.coeffs[i]) for i in range(self.ncomp)]
 
     def samples(self) -> np.ndarray:
-        """Physical-space values (real part; imaginary part is roundoff)."""
+        """Physical-space values."""
         return inverse_transform(self)
 
     def mean(self):
@@ -136,14 +151,6 @@ class SpectralField:
             idx = (slice(None),) + (0,) * self.grid.d
             return self.coeffs[idx].real.copy()
         return float(self.coeffs[(0,) * self.grid.d].real)
-
-    def hermitian_defect(self) -> float:
-        """Max |c(-k) - conj(c(k))|; zero for a genuinely real field."""
-        axes = tuple(range(-self.grid.d, 0))
-        flipped = self.coeffs
-        for ax in axes:
-            flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-        return float(np.max(np.abs(flipped - np.conj(self.coeffs))))
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
@@ -178,29 +185,31 @@ class SpectralField:
 
 
 def zeros(grid: Grid, vector: bool = False) -> SpectralField:
-    shape = (grid.d,) + grid.shape if vector else grid.shape
+    shape = (grid.d,) + grid.spectral_shape if vector else grid.spectral_shape
     return SpectralField(grid, np.zeros(shape, dtype=np.complex128))
 
 
+def _leading_axes(grid: Grid) -> tuple:
+    return tuple(range(-grid.d, -1))
+
+
 def forward_transform(samples: np.ndarray, grid: Grid) -> SpectralField:
-    """Real samples -> normalized coefficients (``cos(k.x) -> 1/2`` at ``+-k``)."""
+    """Real samples -> normalized coefficients (``cos(k.x) -> 1/2`` at ``+-k``):
+    ``rfft`` of the last axis, then ``fftn`` of the leading ones (``rfftn``)."""
     s = np.asarray(samples, dtype=np.float64)
-    if s.shape == grid.shape:
-        c = np.fft.fftn(s) / s.size
-    elif s.ndim == grid.d + 1 and s.shape[1:] == grid.shape:
-        c = np.fft.fftn(s, axes=tuple(range(1, grid.d + 1))) / (grid.N**grid.d)
-    else:
+    if s.shape != grid.shape and s.shape[1:] != grid.shape:
         raise SpectralError(f"sample shape {s.shape} does not match grid {grid.shape}")
-    return SpectralField(grid, c)
+    half = np.fft.rfft(s, axis=-1, norm="forward")
+    return SpectralField(grid, np.fft.fftn(half, axes=_leading_axes(grid),
+                                           norm="forward"))
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
-    """Coefficients -> real samples; inverse of :func:`forward_transform`."""
+    """Coefficients -> real samples; inverse of :func:`forward_transform`:
+    ``ifftn`` of the leading axes, then ``irfft`` of the last (``irfftn``)."""
     g = f.grid
-    n = g.N**g.d
-    if f.is_vector:
-        return np.fft.ifftn(f.coeffs * n, axes=tuple(range(1, g.d + 1))).real
-    return np.fft.ifftn(f.coeffs * n).real
+    lead = np.fft.ifftn(f.coeffs, axes=_leading_axes(g), norm="forward")
+    return np.fft.irfft(lead, n=g.N, axis=-1, norm="forward")
 
 
 def _apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
@@ -210,9 +219,8 @@ def _apply_multiplier(f: SpectralField, mult: np.ndarray) -> SpectralField:
 def derivative(f: SpectralField, axis: int, order: int = 1) -> SpectralField:
     """Spectral derivative: multiplication by ``(i k_axis)^order`` per mode.
 
-    For odd orders the Nyquist plane (``k_axis = -N/2``, which has no
-    conjugate partner on the lattice) is zeroed so the result stays a real
-    field.
+    For odd orders the Nyquist plane ``k_axis = -N/2`` is zeroed (see the
+    module's Nyquist rule).
     """
     g = f.grid
     if order not in (1, 2):
@@ -269,7 +277,7 @@ def inv_laplacian(f: SpectralField) -> SpectralField:
     ill-posed and raises.
     """
     g = f.grid
-    norm = float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    norm = l2_norm_spectral(f)
     mean_mag = float(np.max(np.abs(np.atleast_1d(f.mean()))))
     if mean_mag > 1e-12 * max(norm, 1e-300):
         raise SpectralError(
@@ -328,5 +336,9 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 
 def l2_norm_spectral(f: SpectralField) -> float:
-    """``L^2`` norm evaluated on coefficients (Parseval route)."""
-    return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    """``L^2`` norm evaluated on coefficients (Parseval route); the columns
+    ``0 < k_d < N/2`` count twice, for ``+-k``."""
+    sq = np.abs(f.coeffs) ** 2
+    nyq = f.grid.N // 2
+    return float(np.sqrt(np.sum(sq[..., 0]) + 2.0 * np.sum(sq[..., 1:nyq])
+                         + np.sum(sq[..., nyq])))

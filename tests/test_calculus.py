@@ -40,7 +40,7 @@ def _rand_scal(grid, seed):
 def _band_limited(grid, seed, frac=6.0):
     rng = np.random.default_rng(seed)
     f = forward_transform(rng.standard_normal(grid.shape), grid)
-    mask = np.ones(grid.shape, dtype=bool)
+    mask = np.ones(grid.spectral_shape, dtype=bool)
     for ax in range(grid.d):
         mask &= np.abs(grid.k[ax]) < grid.N / frac
     return SpectralField(grid, f.coeffs * mask)

@@ -25,7 +25,7 @@ from bcns.lemmas import (
     check_oscillatory_scaling,
     oscillatory_norm,
 )
-from bcns.spectral import SpectralField, forward_transform, make_grid
+from bcns.spectral import forward_transform, make_grid
 
 
 SWEEP_CFG = """
@@ -157,11 +157,19 @@ def test_sweep_csv_schema_and_determinism(tmp_path):
     assert fit1.decode().startswith("slope ")
 
 
-def test_sweep_too_few_viscosities(tmp_path):
+def test_sweep_too_few_viscosities(tmp_path, capsys, monkeypatch):
+    # the fit's viscosity checks fail before the first run
+    def no_run(*args, **kwargs):
+        raise AssertionError("sweep ran a flow")
+
+    monkeypatch.setattr(bcns.cli, "run", no_run)
     cfgfile = tmp_path / "sweep.cfg"
-    cfgfile.write_text("N = 16\nnu_list = 4, 16\n")
-    rc = main(["sweep", "--config", str(cfgfile)])
-    assert rc == 4
+    for nu_list, message in (("4, 16", "at least 3 viscosity values"),
+                             ("10, 20, 40", "span at least 1.5 decades")):
+        cfgfile.write_text(f"N = 16\nnu_list = {nu_list}\n")
+        rc = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert message in capsys.readouterr().err
 
 
 def test_sweep_identical_stub_hits_fit_error(tmp_path, monkeypatch):
@@ -269,6 +277,8 @@ def test_bad_step_horizon_or_trials_exits_2(tmp_path, capsys, command, text,
     ("simulate", "N = 16\nT = 0.05\na_inf_max = -1\n", "a_inf_max="),
     ("sweep", "N = 16\nT = 0.05\nnu_list = 10, 40, inf\n", "'nu_list'"),
     ("sweep", "N = 16\nT = 0.05\nnu_list = -1, 40, 160\n", "'nu_list'"),
+    ("simulate", "N = 16\nT = 0.05\np = 0.5\n", "'p'"),
+    ("sweep", "p = nan\nN = 16\nT = 0.05\nnu_list = 10, 40, 640\n", "'p'"),
     ("lemmas", "lemmas = ,\n", "'lemmas'"),
 ])
 def test_bad_parameter_or_unreadable_file_exits_2(tmp_path, capsys, command, text,
@@ -386,7 +396,7 @@ def test_non_hermitian_file_initial_data_exits_2(tmp_path, capsys):
     c = np.zeros((2,) + g.shape, dtype=complex)
     c[0][1, 0] = 0.5  # cos-like mode without its conjugate partner at -k
     snap = tmp_path / "v0.snap"
-    write_snapshot(snap, SpectralField(g, c), 0.0)
+    snap.write_bytes(b"BCNS1 2 16 2 0.0\n" + c.astype("<c16").tobytes())
     cfgfile = tmp_path / "sim.cfg"
     cfgfile.write_text(f"N = 16\nT = 0.1\ninitial = file:{snap}\n"
                        f"output_dir = {tmp_path / 'out'}\n")

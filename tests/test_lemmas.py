@@ -14,7 +14,13 @@ from bcns.lemmas import (
     oscillatory_data,
     random_field,
 )
-from bcns.spectral import SpectralError, lp_norm, make_grid
+from bcns.spectral import (
+    SpectralError,
+    forward_transform,
+    inverse_transform,
+    lp_norm,
+    make_grid,
+)
 
 
 def test_random_field_seeded_and_mean_free():
@@ -23,7 +29,12 @@ def test_random_field_seeded_and_mean_free():
     f2 = random_field(g, np.random.default_rng(42))
     assert np.array_equal(f1.coeffs, f2.coeffs)
     assert abs(f1.mean()) <= 1e-15
-    assert f1.hermitian_defect() <= 1e-13
+    # a real field: the stored columns are a fixed point of the transforms
+    back = forward_transform(inverse_transform(f1), g)
+    assert np.max(np.abs(back.coeffs - f1.coeffs)) <= 1e-13
+    nyquist, scale = g.N // 2, np.max(np.abs(f1.coeffs))  # no Nyquist content
+    assert np.max(np.abs(f1.coeffs[nyquist])) <= 1e-15 * scale
+    assert np.max(np.abs(f1.coeffs[:, nyquist])) <= 1e-15 * scale
 
 
 def test_bernstein_annulus_exact_and_stable():

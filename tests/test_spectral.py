@@ -33,7 +33,8 @@ def test_make_grid_2d():
 def test_make_grid_3d():
     g = make_grid(3, 8)
     assert g.shape == (8, 8, 8)
-    assert g.k2.size == 8**3
+    assert g.spectral_shape == (8, 8, 5)
+    assert g.k2.shape == g.spectral_shape
 
 
 @pytest.mark.parametrize("d,N", [(2, 7), (2, 6), (1, 16), (4, 16), (2, 9)])
@@ -74,8 +75,11 @@ def test_round_trip_vector_3d():
     g = make_grid(3, 8)
     rng = np.random.default_rng(3)
     s = rng.standard_normal((3,) + g.shape)
-    back = inverse_transform(forward_transform(s, g))
+    f = forward_transform(s, g)
+    back = inverse_transform(f)
     assert np.max(np.abs(back - s)) <= 1e-12
+    again = forward_transform(back, g)
+    assert np.max(np.abs(again.coeffs - f.coeffs)) <= 1e-15 * np.max(np.abs(s))
 
 
 def test_forward_shape_mismatch():
@@ -85,11 +89,14 @@ def test_forward_shape_mismatch():
 
 
 def test_parseval():
-    g = make_grid(2, 32)
+    # the columns 0 < k_d < N/2 stand for +-k, the columns k_d = 0, -N/2 for
+    # themselves; random samples fill the Nyquist column too
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        f = forward_transform(rng.standard_normal(g.shape), g)
-        assert lp_norm(f, 2) == pytest.approx(l2_norm_spectral(f), rel=1e-12)
+    for g in (make_grid(2, 32), make_grid(3, 8)):
+        for shape in [g.shape] * 20 + [(g.d,) + g.shape]:
+            f = forward_transform(rng.standard_normal(shape), g)
+            assert np.max(np.abs(f.coeffs[..., -1])) > 1e-3
+            assert lp_norm(f, 2) == pytest.approx(l2_norm_spectral(f), rel=1e-12)
 
 
 def test_derivative_eigenmodes():
@@ -124,13 +131,6 @@ def test_derivative_commutes_with_dyadic_block():
         a = derivative(dyadic_block(f, j, bands), 0)
         b = dyadic_block(derivative(f, 0), j, bands)
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-12
-
-
-def test_derivative_keeps_field_real():
-    g = make_grid(2, 16)
-    rng = np.random.default_rng(9)
-    f = forward_transform(rng.standard_normal(g.shape), g)
-    assert derivative(f, 0).hermitian_defect() <= 1e-13
 
 
 def test_inv_laplacian_eigenmodes():
@@ -178,13 +178,11 @@ def test_product_trig_identity():
     assert np.max(np.abs(prod.coeffs - expected.coeffs)) <= 1e-12
 
 
-def _direct_convolution(f, g_field):
-    """Brute-force coefficient convolution on the integer lattice."""
-    grid = f.grid
-    N = grid.N
-    out = np.zeros(grid.shape, dtype=np.complex128)
+def _direct_convolution(cf, cg):
+    """Brute-force coefficient convolution on the whole integer lattice."""
+    N = cf.shape[0]
+    out = np.zeros(cf.shape, dtype=np.complex128)
     ks = np.fft.fftfreq(N, 1.0 / N).astype(int)
-    cf, cg = f.coeffs, g_field.coeffs
     for i1, k1 in enumerate(ks):
         for j1, l1 in enumerate(ks):
             if cf[i1, j1] == 0:
@@ -202,16 +200,17 @@ def _direct_convolution(f, g_field):
 def test_product_matches_direct_convolution():
     g = make_grid(2, 16)
     rng = np.random.default_rng(8)
+    k = np.abs(np.fft.fftfreq(g.N, 1.0 / g.N))
     # band-limit to |k| < N/6 so the 2/3-rule product is alias-free
-    def band_limited():
-        s = rng.standard_normal(g.shape)
-        f = forward_transform(s, g)
-        mask = (np.abs(g.k[0]) < g.N / 6) & (np.abs(g.k[1]) < g.N / 6)
-        return SpectralField(g, f.coeffs * mask)
+    mask = (k[:, None] < g.N / 6) & (k[None, :] < g.N / 6)
 
-    f, h = band_limited(), band_limited()
+    def band_limited():
+        whole = np.fft.fftn(rng.standard_normal(g.shape)) / g.N**2 * mask
+        return whole, forward_transform(np.fft.ifftn(whole * g.N**2).real, g)
+
+    (cf, f), (ch, h) = band_limited(), band_limited()
     prod = product_dealiased(f, h)
-    exact = _direct_convolution(f, h)
+    exact = _direct_convolution(cf, ch)[:, : g.N // 2 + 1]
     assert np.max(np.abs(prod.coeffs - exact)) <= 1e-12
 
 
@@ -251,3 +250,26 @@ def test_lp_norm_of_one():
     one = forward_transform(np.ones(g.shape), g)
     for p in (1, 2, 4, math.inf):
         assert lp_norm(one, p) == pytest.approx(1.0, abs=1e-13)
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_transforms_are_bitwise_the_real_transforms_in_2d(vector):
+    g = make_grid(2, 16)
+    rng = np.random.default_rng(13)
+    shape = (2,) + g.shape if vector else g.shape
+    s = rng.standard_normal(shape)
+    f = forward_transform(s, g)
+    assert f.coeffs.shape == shape[:-1] + (g.N // 2 + 1,)
+    assert np.array_equal(f.coeffs, np.fft.rfftn(s, axes=(-2, -1), norm="forward"))
+    c = rng.standard_normal(f.coeffs.shape) + 1j * rng.standard_normal(f.coeffs.shape)
+    want = np.fft.irfftn(c, s=g.shape, axes=(-2, -1), norm="forward")
+    assert np.array_equal(inverse_transform(SpectralField(g, c)), want)
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+def test_field_rejects_the_whole_lattice_shape(d, N):
+    g = make_grid(d, N)
+    for shape in (g.shape, (d,) + g.shape, g.spectral_shape[:-1] + (N // 2,)):
+        with pytest.raises(SpectralError, match="half spectrum"):
+            SpectralField(g, np.zeros(shape, dtype=complex))
+    assert zeros(g, vector=True).coeffs.shape == (d,) + g.spectral_shape
