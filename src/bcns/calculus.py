@@ -14,6 +14,12 @@ supported in the 2/3 box, the shared truncation zeroing every aliased image.
 Identities that involve first derivatives (gradient annihilation, div P = 0)
 hold exactly away from the Nyquist planes, which odd-order derivatives zero;
 dealiased fields never touch them.
+
+Each Bony and transport sum (``paraproduct``, ``remainder``, ``advect``, and
+``commutator_transport`` for ``u . grad v`` and every band together) is one
+physical-space evaluation by ``spectral._product_sums``: each distinct
+dealiased factor is inverted once and all the sums come back in one forward
+transform, through the dealias-pruned transforms that ``spectral`` owns.
 """
 
 from __future__ import annotations
@@ -21,13 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bands import DyadicBands, dyadic_block, low_cutoff
-from .spectral import (
-    SpectralField,
-    SpectralError,
-    derivative,
-    product_dealiased,
-    zeros,
-)
+from .spectral import SpectralField, SpectralError, _product_sums, derivative
 
 
 def _require_vector(v: SpectralField, who: str) -> None:
@@ -68,11 +68,8 @@ def paraproduct(u: SpectralField, v: SpectralField, bands: DyadicBands) -> Spect
     low cutoffs ``S'`` and dealiased products."""
     if u.grid != v.grid:
         raise SpectralError("paraproduct requires a shared grid")
-    out = zeros(v.grid, vector=v.is_vector)
-    for j in bands.j_range:
-        su = _mean_free_cutoff(u, j - 1, bands)
-        out = out + product_dealiased(su, dyadic_block(v, j, bands))
-    return out
+    return _product_sums([[(_mean_free_cutoff(u, j - 1, bands), dyadic_block(v, j, bands))
+                           for j in bands.j_range]])[0]
 
 
 def remainder(u: SpectralField, v: SpectralField, bands: DyadicBands) -> SpectralField:
@@ -85,16 +82,12 @@ def remainder(u: SpectralField, v: SpectralField, bands: DyadicBands) -> Spectra
     """
     if u.grid != v.grid:
         raise SpectralError("remainder requires a shared grid")
-    du = {j: dyadic_block(u, j, bands) for j in bands.j_range}
-    dv = {j: dyadic_block(v, j, bands) for j in bands.j_range}
-    out = zeros(v.grid, vector=(u.is_vector or v.is_vector))
-    for j in bands.j_range:
-        out = out + product_dealiased(du[j], dv[j])
-        if j + 1 <= bands.j_max:
-            cross = (product_dealiased(du[j], dv[j + 1])
-                     + product_dealiased(du[j + 1], dv[j]))
-            out = out + cross
-    return out
+    du = [dyadic_block(u, j, bands) for j in bands.j_range]
+    dv = [dyadic_block(v, j, bands) for j in bands.j_range]
+    terms = [(du[0], dv[0])]
+    for i in range(1, len(du)):
+        terms += [(du[i - 1], dv[i], du[i], dv[i - 1]), (du[i], dv[i])]
+    return _product_sums([terms])[0]
 
 
 def bony_mean_correction(u: SpectralField, v: SpectralField) -> SpectralField:
@@ -115,26 +108,21 @@ def advect(u: SpectralField, f: SpectralField) -> SpectralField:
     """Transport term ``(u . grad) f`` via dealiased products
     (componentwise on vector ``f``)."""
     _require_vector(u, "advect")
-    g = u.grid
     ucomp = u.components()
-    if f.is_vector:
-        rows = []
-        for fc in f.components():
-            term = zeros(g)
-            for ax in range(g.d):
-                term = term + product_dealiased(ucomp[ax], derivative(fc, ax))
-            rows.append(term.coeffs)
-        return SpectralField(g, np.stack(rows))
-    term = zeros(g)
-    for ax in range(g.d):
-        term = term + product_dealiased(ucomp[ax], derivative(f, ax))
-    return term
+    return _product_sums([[(ucomp[ax], derivative(f, ax))
+                           for ax in range(u.grid.d)]])[0]
 
 
 def commutator_transport(u: SpectralField, v: SpectralField,
                          bands: DyadicBands) -> list:
     """Transport commutators ``u . grad(Delta_j v) - Delta_j(u . grad v)``
-    of every band, ordered by j (``u . grad v`` is formed once)."""
-    uv = advect(u, v)
-    return [advect(u, dyadic_block(v, j, bands)) - dyadic_block(uv, j, bands)
-            for j in bands.j_range]
+    of every band, ordered by j; ``u . grad v`` and every ``u . grad(Delta_j
+    v)`` come from one evaluation."""
+    _require_vector(u, "commutator_transport")
+    if u.grid != v.grid:
+        raise SpectralError("commutator_transport requires a shared grid")
+    ucomp = u.components()
+    uv, *per_band = _product_sums(
+        [[(ucomp[ax], derivative(f, ax)) for ax in range(u.grid.d)]
+         for f in [v] + [dyadic_block(v, j, bands) for j in bands.j_range]])
+    return [c - dyadic_block(uv, j, bands) for j, c in zip(bands.j_range, per_band)]

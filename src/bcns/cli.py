@@ -173,8 +173,8 @@ def _validate(cfg: RunConfig, path: str) -> None:
 
 def load_config(path: str) -> RunConfig:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, path)
 
@@ -262,11 +262,18 @@ def _snapshot_series(outdir: Path, tag: str, traj: Trajectory, mode: str) -> Non
             write_snapshot(outdir / f"{tag}_a_{suffix}.snap", st.a, st.t)
 
 
+def _output_dir(cfg: RunConfig) -> Path:
+    try:
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"key 'output_dir': {exc}") from exc
+    return Path(cfg.output_dir)
+
+
 def cmd_simulate(cfg: RunConfig) -> int:
     grid, a0, v0 = initial_data(cfg)
     bands = build_partition(grid)
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg)
     params = cfg.params()
     stepcfg = cfg.stepper()
     snap_times = np.linspace(0.0, cfg.T, cfg.snapshots)
@@ -332,8 +339,7 @@ def sweep_once(cfg: RunConfig):
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg)
     try:
         result, _ = sweep_once(cfg)
     except FitError as exc:
@@ -352,8 +358,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_lemmas(cfg: RunConfig) -> int:
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(cfg)
     wanted = [s.strip() for s in cfg.lemmas.split(",") if s.strip()]
     if "all" in wanted:
         wanted = list(lemma_suite.CHECKS)

@@ -393,6 +393,8 @@ def oscillatory_data(grid: Grid, eps: float, kappa: float = 0.25) -> SpectralFie
     """``sin(x1/eps) * envelope(x)`` with a fixed smooth periodic bump
     envelope ``exp(kappa (cos x_i - 1))``; ``1/eps`` must be a lattice
     frequency."""
+    if not math.isfinite(eps) or eps == 0:
+        raise SpectralError(f"eps = {eps} must be finite and nonzero")
     inv = 1.0 / eps
     if abs(inv - round(inv)) > 1e-9 or round(inv) < 1 or round(inv) > grid.N // 2 - 1:
         raise SpectralError(f"1/eps = {inv} is not a representable lattice mode")

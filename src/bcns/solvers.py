@@ -36,6 +36,8 @@ from .spectral import (
     Grid,
     SpectralField,
     SpectralError,
+    _Workspace,
+    _workspace,
     divergence,
     forward_transform,
     inv_laplacian,
@@ -176,57 +178,6 @@ def acoustic_propagator(k2: np.ndarray, nu: float, dt: float):
     return e11, e12, e12, e22
 
 
-class _Workspace:
-    """Multipliers, dealias-pruned transforms (``m`` of the ``N/2 + 1``
-    columns have ``k_d < N/3``) and reused buffers of a grid."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.m = int(np.count_nonzero(np.arange(grid.N // 2 + 1) < grid.N / 3.0))
-        self.k2max = float(np.max(grid.k2[grid.dealias_mask]))
-        self.ik = [1j * kj for kj in grid.k]
-        self.khat = [kj / np.maximum(grid.kmag, 1.0) for kj in grid.k]
-        self._axes = tuple(range(-grid.d, 0))
-        self._buffers = {}
-
-    def buffer(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
-        """The workspace's zero-initialised array for these arguments."""
-        key = (name, shape, dtype)
-        if key not in self._buffers:
-            self._buffers[key] = np.zeros(shape, dtype=dtype)
-        return self._buffers[key]
-
-    def inverse(self, stack: np.ndarray) -> np.ndarray:
-        """Samples of dealiased half spectra (bitwise ``irfftn``) into a buffer;
-        overwrites the ``m`` kept columns of ``stack``, the rest must be 0."""
-        kept = stack[..., : self.m]
-        for ax in self._axes[:-1]:  # the order of irfftn
-            np.fft.ifft(kept, axis=ax, norm="forward", out=kept)
-        out = self.buffer("inverse", stack.shape[:1] + self.grid.shape, np.float64)
-        return np.fft.irfft(stack, n=self.grid.N, axis=-1, norm="forward", out=out)
-
-    def forward(self, samples: np.ndarray) -> np.ndarray:
-        """Dealiased half spectra (bitwise ``rfftn`` times the mask) into a buffer."""
-        shape = samples.shape[:-self.grid.d] + self.grid.spectral_shape
-        rows = np.fft.rfft(samples, axis=-1, norm="forward",
-                           out=self.buffer("rfft", shape))[..., : self.m]
-        out = self.buffer("forward", shape)
-        kept = out[..., : self.m]
-        for ax in reversed(self._axes[:-1]):  # the order of rfftn
-            rows = np.fft.fft(rows, axis=ax, norm="forward", out=kept)
-        np.multiply(kept, self.grid.dealias_mask[..., : self.m], out=kept)
-        return out
-
-    def samples(self, stack: np.ndarray) -> np.ndarray:
-        """Samples of undealiased half spectra (``irfftn``) into a buffer."""
-        out = self.buffer("samples", stack.shape[:1] + self.grid.shape, np.float64)
-        return np.fft.irfftn(stack, s=self.grid.shape, axes=self._axes,
-                             norm="forward", out=out)
-
-
-_workspace = lru_cache(maxsize=2)(_Workspace)  # per grid, cached like _propagator
-
-
 class _LinearPropagator:
     """Tables applying the exact linear flow for one time step.
 
@@ -289,7 +240,7 @@ def _cns_tendency(ws: _Workspace, a, v, params: PhysicalParams) -> np.ndarray:
                out=f[1 + d + d * d + i])
         if pressure:
             np.multiply(ik[i], ah, out=f[1 + 2 * d + d * d + i])
-    s = ws.inverse(f)
+    s = ws.inverse(f, reuse=True)
     a_s, v_s = s[0], s[1:1 + d]
     grad_v = s[1 + d:1 + d + d * d].reshape((d, d) + grid.shape)  # [i, j] = d_j v_i
     visc, grad_a = s[1 + d + d * d:1 + 2 * d + d * d], s[1 + 2 * d + d * d:]
@@ -298,14 +249,14 @@ def _cns_tendency(ws: _Workspace, a, v, params: PhysicalParams) -> np.ndarray:
     coeffs = [a_s / dens]
     if pressure:
         coeffs.append((pressure_law(a_s, params.gamma) - a_s) / dens)
-    coeffs = ws.inverse(ws.forward(np.stack(coeffs)))
+    coeffs = ws.inverse(ws.forward(np.stack(coeffs), reuse=True), reuse=True)
 
     out = ws.buffer("cns_products", (2 * d,) + grid.shape, np.float64)
     np.multiply(a_s, v_s, out=out[:d])
     out[d:] = -np.sum(v_s[None] * grad_v, axis=1) - coeffs[0] * visc
     if pressure:
         out[d:] -= coeffs[1] * grad_a
-    oh = ws.forward(out)
+    oh = ws.forward(out, reuse=True)
     na = -sum(ik[j] * oh[j] for j in range(d))
     return np.concatenate([na[None], oh[d:]])
 
@@ -374,9 +325,10 @@ def _ins_tendency(ws: _Workspace, v: np.ndarray) -> np.ndarray:
     vh = v * grid.dealias_mask
     s = ws.inverse(np.stack([*vh] + [ws.ik[j] * vh[i] for i in range(d)
                                      for j in range(d)],
-                            out=ws.buffer("ins", (d + d * d,) + grid.spectral_shape)))
+                            out=ws.buffer("ins", (d + d * d,) + grid.spectral_shape)),
+                   reuse=True)
     grad_v = s[d:].reshape((d, d) + grid.shape)  # [i, j] = d_j V_i
-    adv_h = ws.forward(np.sum(s[None, :d] * grad_v, axis=1))
+    adv_h = ws.forward(np.sum(s[None, :d] * grad_v, axis=1), reuse=True)
     return leray_project(SpectralField(grid, -adv_h)).coeffs
 
 

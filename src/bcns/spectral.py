@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -298,6 +299,99 @@ def dealias(f: SpectralField) -> SpectralField:
     return _apply_multiplier(f, f.grid.dealias_mask)
 
 
+class _Workspace:
+    """Multipliers, dealias-pruned transforms (``m`` of the ``N/2 + 1``
+    columns have ``k_d < N/3``) and reused buffers of a grid; a transform
+    fills a new array, or with ``reuse`` the workspace's buffer for its shape."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.m = int(np.count_nonzero(np.arange(grid.N // 2 + 1) < grid.N / 3.0))
+        self.k2max = float(np.max(grid.k2[grid.dealias_mask]))
+        self.ik = [1j * kj for kj in grid.k]
+        self.khat = [kj / np.maximum(grid.kmag, 1.0) for kj in grid.k]
+        self._axes = tuple(range(-grid.d, 0))
+        self._buffers = {}
+
+    def buffer(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        """The workspace's zero-initialised array for these arguments."""
+        key = (name, shape, dtype)
+        if key not in self._buffers:
+            self._buffers[key] = np.zeros(shape, dtype=dtype)
+        return self._buffers[key]
+
+    def inverse(self, stack: np.ndarray, reuse: bool = False) -> np.ndarray:
+        """Samples of dealiased half spectra (bitwise ``irfftn``); overwrites
+        the ``m`` kept columns of ``stack``, the rest must be 0."""
+        kept = stack[..., : self.m]
+        for ax in self._axes[:-1]:  # the order of irfftn
+            np.fft.ifft(kept, axis=ax, norm="forward", out=kept)
+        shape = stack.shape[:-self.grid.d] + self.grid.shape
+        return np.fft.irfft(stack, n=self.grid.N, axis=-1, norm="forward",
+                            out=self.buffer("inverse", shape, np.float64)
+                            if reuse else None)
+
+    def forward(self, samples: np.ndarray, reuse: bool = False) -> np.ndarray:
+        """Dealiased half spectra (bitwise ``rfftn`` times the mask)."""
+        shape = samples.shape[:-self.grid.d] + self.grid.spectral_shape
+        out = np.fft.rfft(samples, axis=-1, norm="forward",
+                          out=self.buffer("forward", shape) if reuse else None)
+        kept = out[..., : self.m]
+        for ax in reversed(self._axes[:-1]):  # the order of rfftn
+            np.fft.fft(kept, axis=ax, norm="forward", out=kept)
+        np.multiply(kept, self.grid.dealias_mask[..., : self.m], out=kept)
+        out[..., self.m:] = 0.0
+        return out
+
+    def samples(self, stack: np.ndarray) -> np.ndarray:
+        """Samples of undealiased half spectra (``irfftn``) into a buffer."""
+        out = self.buffer("samples", stack.shape[:1] + self.grid.shape, np.float64)
+        return np.fft.irfftn(stack, s=self.grid.shape, axes=self._axes,
+                             norm="forward", out=out)
+
+
+_workspace = lru_cache(maxsize=2)(_Workspace)  # per grid
+
+
+def _product_sums(sums: list) -> list:
+    """Dealiased sums of pointwise products, one field per entry of ``sums``.
+
+    An entry is a list of terms; a term ``(f1, g1, f2, g2, ...)`` stands for
+    ``f1 g1 + f2 g2 + ...``, added up before it joins the sum.  Factors
+    multiply as in :func:`product_dealiased`.  Each distinct factor object
+    is 2/3-truncated and inverted once, in one batched pruned inverse (one
+    that truncates to zero drops its products); the sums are formed in
+    physical space and come back in one batched forward transform.
+    """
+    factors = {id(x): x for terms in sums for term in terms for x in term}
+    grid = next(iter(factors.values())).grid
+    if any(x.grid != grid for x in factors.values()):
+        raise SpectralError("dealiased products require a shared grid")
+    ws, d = _workspace(grid), grid.d
+    masked = {key: (x.coeffs * grid.dealias_mask).reshape((-1,) + grid.spectral_shape)
+              for key, x in factors.items()}
+    live = [key for key, c in masked.items() if c.any()]
+    empty = np.empty((0,) + grid.spectral_shape, np.complex128)  # all factors zero
+    s = ws.inverse(np.concatenate([empty] + [masked[key] for key in live]))
+    parts = np.split(s, np.cumsum([len(masked[key]) for key in live])[:-1])
+    samples = {key: part.reshape(factors[key].coeffs.shape[:-d] + grid.shape)
+               for key, part in zip(live, parts)}
+    totals = []
+    for terms in sums:
+        total = np.zeros(np.broadcast_shapes(*(x.coeffs.shape[:-d] for x in terms[0]))
+                         + grid.shape)
+        for term in terms:  # f1 g1 + f2 g2 + ..., left to right
+            prods = [samples[id(f)] * samples[id(g)] for f, g in zip(term[::2], term[1::2])
+                     if id(f) in samples and id(g) in samples]
+            if prods:
+                total += sum(prods[1:], prods[0])
+        totals.append(total)
+    rows = [t.reshape((-1,) + grid.shape) for t in totals]
+    parts = np.split(ws.forward(np.concatenate(rows)), np.cumsum(list(map(len, rows)))[:-1])
+    return [SpectralField(grid, c.reshape(t.shape[:-d] + grid.spectral_shape))
+            for t, c in zip(totals, parts)]
+
+
 def product_dealiased(f: SpectralField, g: SpectralField) -> SpectralField:
     """Pointwise product with 2/3-rule truncation before and after.
 
@@ -305,19 +399,7 @@ def product_dealiased(f: SpectralField, g: SpectralField) -> SpectralField:
     scalar, or elementwise for equal ranks) are supported on a shared grid.
     The operation is exactly symmetric and bilinear.
     """
-    if f.grid != g.grid:
-        raise SpectralError("product_dealiased requires a shared grid")
-    ft = dealias(f)
-    gt = dealias(g)
-    fs = inverse_transform(ft)
-    gs = inverse_transform(gt)
-    if ft.is_vector and not gt.is_vector:
-        prod = fs * gs[None]
-    elif gt.is_vector and not ft.is_vector:
-        prod = gs * fs[None]
-    else:
-        prod = fs * gs
-    return dealias(forward_transform(prod, f.grid))
+    return _product_sums([[(f, g)]])[0]
 
 
 def lp_norm(f: SpectralField, p: float) -> float:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from bcns.bands import BesovIndex, besov_norm, build_partition
+from bcns.bands import (
+    BesovIndex,
+    besov_norm,
+    build_partition,
+    dyadic_block,
+    low_cutoff,
+)
 from bcns.calculus import (
     advect,
     bony_mean_correction,
@@ -16,9 +22,11 @@ from bcns.spectral import (
     SpectralField,
     curl,
     dealias,
+    derivative,
     divergence,
     forward_transform,
     gradient,
+    inverse_transform,
     lp_norm,
     make_grid,
     product_dealiased,
@@ -142,12 +150,15 @@ def test_bony_reconstruction_exact():
 
 
 def test_remainder_symmetric():
-    g = make_grid(2, 16)
-    b = build_partition(g)
-    u, v = _rand_scal(g, 30), _rand_scal(g, 31)
-    r1 = remainder(u, v, b)
-    r2 = remainder(v, u, b)
-    assert np.max(np.abs(r1.coeffs - r2.coeffs)) == 0.0
+    for d, N in ((2, 16), (3, 8)):
+        g = make_grid(d, N)
+        b = build_partition(g)
+        scal, vec = (_rand_scal(g, 30), _rand_scal(g, 31)), (_rand_vec(g, 32),
+                                                            _rand_vec(g, 33))
+        for u, v in (scal, vec, (scal[0], vec[0])):
+            r1 = remainder(u, v, b)
+            r2 = remainder(v, u, b)
+            assert np.max(np.abs(r1.coeffs - r2.coeffs)) == 0.0
 
 
 def test_commutator_constant_velocity():
@@ -229,3 +240,86 @@ def test_advect_matches_direct_form():
               + product_dealiased(SpectralField(g, vec.coeffs[1]),
                                   derivative(f, 1)))
     assert np.max(np.abs(out.coeffs - direct.coeffs)) <= 1e-13
+
+
+# Reference chain of products, each formed on its own: dealias both factors,
+# invert, multiply, transform back, dealias.
+def _chain_product(f, g):
+    fs, gs = inverse_transform(dealias(f)), inverse_transform(dealias(g))
+    return dealias(forward_transform(fs * gs, f.grid))
+
+
+def _chain_sum(pairs):
+    out = None
+    for f, g in pairs:
+        p = _chain_product(f, g)
+        out = p if out is None else out + p
+    return out
+
+
+def _chain_paraproduct(u, v, b):
+    nonzero = u.grid.k2 > 0  # mean-free low cutoffs
+    return _chain_sum([(SpectralField(u.grid, low_cutoff(u, j - 1, b).coeffs * nonzero),
+                        dyadic_block(v, j, b)) for j in b.j_range])
+
+
+def _chain_remainder(u, v, b):
+    return _chain_sum([(dyadic_block(u, j, b), dyadic_block(v, i, b))
+                       for j in b.j_range for i in (j - 1, j, j + 1)
+                       if b.j_min <= i <= b.j_max])
+
+
+def _chain_advect(u, f):
+    return _chain_sum([(SpectralField(u.grid, u.coeffs[ax]), derivative(f, ax))
+                       for ax in range(u.grid.d)])
+
+
+def _raw_field(grid, seed, vector):
+    # real samples: content outside the 2/3 box and on the Nyquist planes
+    rng = np.random.default_rng(seed)
+    return forward_transform(rng.standard_normal((grid.d,) * vector + grid.shape),
+                             grid)
+
+
+def _assert_close(got, want):
+    assert got.coeffs.shape == want.coeffs.shape
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(
+        np.abs(want.coeffs))
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("ranks", ["ss", "sv", "vs", "vv"])
+def test_bony_sums_match_the_product_chain(d, N, ranks):
+    g = make_grid(d, N)
+    b = build_partition(g)
+    u, v = (_raw_field(g, 50 + i, r == "v") for i, r in enumerate(ranks))
+    _assert_close(product_dealiased(u, v), _chain_product(u, v))
+    _assert_close(paraproduct(u, v, b), _chain_paraproduct(u, v, b))
+    _assert_close(remainder(u, v, b), _chain_remainder(u, v, b))
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("vector", [False, True])
+def test_transport_sums_match_the_product_chain(d, N, vector):
+    g = make_grid(d, N)
+    b = build_partition(g)
+    u, f = _raw_field(g, 60, True), _raw_field(g, 61, vector)
+    _assert_close(advect(u, f), _chain_advect(u, f))
+    uf = _chain_advect(u, f)
+    for j, got in zip(b.j_range, commutator_transport(u, f, b)):
+        want = _chain_advect(u, dyadic_block(f, j, b)) - dyadic_block(uf, j, b)
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-13 * np.max(
+            np.abs(uf.coeffs))
+
+
+def test_every_product_entry_point_rejects_mixed_grids():
+    g, h = make_grid(2, 16), make_grid(2, 32)
+    b = build_partition(g)
+    u, v = _rand_vec(g, 70), _rand_scal(h, 71)
+    calls = [lambda: product_dealiased(u, v), lambda: product_dealiased(v, u),
+             lambda: paraproduct(u, v, b), lambda: paraproduct(v, u, b),
+             lambda: remainder(u, v, b), lambda: remainder(v, u, b),
+             lambda: advect(u, v), lambda: commutator_transport(u, v, b)]
+    for call in calls:
+        with pytest.raises(SpectralError):
+            call()

@@ -280,11 +280,17 @@ def test_bad_step_horizon_or_trials_exits_2(tmp_path, capsys, command, text,
     ("simulate", "N = 16\nT = 0.05\np = 0.5\n", "'p'"),
     ("sweep", "p = nan\nN = 16\nT = 0.05\nnu_list = 10, 40, 640\n", "'p'"),
     ("lemmas", "lemmas = ,\n", "'lemmas'"),
+    ("simulate", "N = 16\nT = 0.05\ninitial = oscillatory:0\n", "eps"),
+    ("simulate", "N = 16\nT = 0.05\ninitial = oscillatory:nan\n", "eps"),
+    ("simulate", b"N = 16\nT = 0.05\n# \xe9t\xe9\n", "cannot read config"),
+    ("lemmas", "lemmas = heat\n", "'output_dir'"),
 ])
 def test_bad_parameter_or_unreadable_file_exits_2(tmp_path, capsys, command, text,
                                                   key):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text(text)
+    cfgfile.write_bytes(text if isinstance(text, bytes) else text.encode())
+    if key == "'output_dir'":  # the output directory names a regular file
+        (tmp_path / "o").write_text("")
     rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert rc == 2
     err = capsys.readouterr().err

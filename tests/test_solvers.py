@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 import bcns.solvers
-from bcns.calculus import advect, compressible_project, leray_project
+from bcns.bands import build_partition
+from bcns.calculus import (
+    advect,
+    commutator_transport,
+    compressible_project,
+    leray_project,
+    paraproduct,
+    remainder,
+)
 from bcns.lemmas import random_field
 from bcns.solvers import (
     BlowupError,
@@ -20,7 +28,6 @@ from bcns.solvers import (
     _ins_tendency,
     _LinearPropagator,
     _propagator,
-    _workspace,
     acoustic_propagator,
     kinetic_energy,
     pressure_law,
@@ -33,6 +40,7 @@ from bcns.solvers import (
 from bcns.spectral import (
     SpectralError,
     SpectralField,
+    _workspace,
     dealias,
     divergence,
     forward_transform,
@@ -571,13 +579,14 @@ def test_workspace_transforms_are_bitwise_the_real_transforms(d, N):
     ws = _workspace(g)
     axes = tuple(range(-d, 0))
     rng = np.random.default_rng(3)
-    for nf in (1, 2 * d + d * d + 1):
+    for nf, reuse in [(1, False), (1, True), (2 * d + d * d + 1, False),
+                      (2 * d + d * d + 1, True)]:
         stack = _dealiased_stack(g, nf, rng)
         want = np.fft.irfftn(stack, s=g.shape, axes=axes, norm="forward")
-        assert np.array_equal(ws.inverse(stack.copy()), want)
+        assert np.array_equal(ws.inverse(stack.copy(), reuse), want)
         samples = rng.standard_normal((nf,) + g.shape)
         want = np.fft.rfftn(samples, axes=axes, norm="forward") * g.dealias_mask
-        assert np.array_equal(ws.forward(samples), want)
+        assert np.array_equal(ws.forward(samples, reuse), want)
 
 
 @pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
@@ -586,12 +595,17 @@ def test_results_never_alias_the_workspace(d, N):
     V = leray_project(v)
     params = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4)
     ws = _workspace(a.grid)
+    b = build_partition(a.grid)
 
     def results(scale):
+        # the flow steps, then the product path, which shares the workspace
         return [_cns_tendency(ws, a.coeffs * scale, v.coeffs, params),
                 _ins_tendency(ws, V.coeffs * scale),
                 *vars(step_cns(FlowState(a * scale, v, 0.0), params, 1e-3)).values(),
-                step_ins(FlowState(a, V * scale, 0.0), 0.7, 1e-3).v]
+                step_ins(FlowState(a, V * scale, 0.0), 0.7, 1e-3).v,
+                product_dealiased(a * scale, v), paraproduct(a * scale, v, b),
+                remainder(v, a * scale, b), advect(v * scale, v),
+                *commutator_transport(v, a * scale, b)]
 
     first = results(0.5)
     arrays = [getattr(r, "coeffs", r) for r in first if not isinstance(r, float)]
