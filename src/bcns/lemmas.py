@@ -263,17 +263,22 @@ def check_commutators(trials: int = 100, grid_sizes=(16, 32, 64),
                         for j, c in zip(bands.j_range, comms))
             ratios["transport"] = total / den
         # zero-order multiplier commutator [P, u.grad] w on vectors, summed
-        # over the low bands
+        # over the low bands; each velocity transports w and Pw as one field
         nw = sum(besov_norm(part, zero, bands)
                  for part in split_low_high(w, nu, bands))
-        Pw = leray_project(w)
-        acc = low_sum(leray_project(advect(u, w)) - advect(u, Pw), bands)
+        w_Pw = SpectralField(grid, np.concatenate([w.coeffs, leray_project(w).coeffs]))
+
+        def commutator(vel):
+            uw, uPw = np.split(advect(vel, w_Pw).coeffs, 2)
+            return leray_project(SpectralField(grid, uw)) - SpectralField(grid, uPw)
+
+        acc = low_sum(commutator(u), bands)
         den_m = sum(besov_norm(part, one, bands)
                     for part in split_low_high(gu, nu, bands)) * nw
         if den_m > 1e-14 and acc > 0:
             ratios["multiplier"] = acc / den_m
         udiv = leray_project(u)
-        acc2 = low_sum(leray_project(advect(udiv, w)) - advect(udiv, Pw), bands)
+        acc2 = low_sum(commutator(udiv), bands)
         den2 = besov_norm(gradient_norm_field(udiv), one, bands) * nw
         if den2 > 1e-14 and acc2 > 0:
             ratios["divfree"] = acc2 / den2

@@ -5,8 +5,10 @@ Fourier space and treat the dealiased nonlinear remainder with explicit
 second-order Runge-Kutta (Heun) through the integrating factor, so the time
 step is limited by advection (and by the variable-coefficient viscous
 remainder of the compressible system), never by acoustics or by the
-dominant viscosity.  The flow steps use per-grid scratch buffers that no
-result aliases.
+dominant viscosity.  Both flow steppers step through one integrating-factor
+Heun core, :func:`_heun`, over their own linear-flow tables and tendencies;
+another exponential integrator replaces that one function.  The flow steps
+use per-grid scratch buffers that no result aliases.
 
 Compressible system, nonconservative form (momentum equation divided by the
 density ``1 + a``, pressure normalized so ``P'(1) = 1``):
@@ -41,6 +43,7 @@ from .spectral import (
     divergence,
     forward_transform,
     inv_laplacian,
+    l2_norm_spectral,
     lp_norm,
     product_dealiased,  # noqa: F401  (bench/tests check the tracer rebinds it here)
 )
@@ -109,7 +112,6 @@ class StepperConfig:
     dt_max: float = 0.05
     a_inf_max: float = 0.9
     vacuum_floor: float = 0.1
-    field_max: float = 1e8
     fixed_dt: float | None = None
 
     def __post_init__(self) -> None:
@@ -119,9 +121,8 @@ class StepperConfig:
             raise SpectralError(f"dt_max={self.dt_max} must be > 0")
         if self.fixed_dt is not None and not self.fixed_dt > 0:
             raise SpectralError(f"fixed_dt={self.fixed_dt} must be > 0")
-        for name in ("a_inf_max", "field_max"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise SpectralError(f"{name}={getattr(self, name)} must be in (0, inf)")
+        if not 0 < self.a_inf_max < math.inf:
+            raise SpectralError(f"a_inf_max={self.a_inf_max} must be in (0, inf)")
         if not 0 <= self.vacuum_floor < 1:
             raise SpectralError(f"vacuum_floor={self.vacuum_floor} must lie in [0, 1)")
 
@@ -135,17 +136,6 @@ class Trajectory:
 
     def final(self) -> FlowState:
         return self.states[-1]
-
-
-def _sinhc(z: np.ndarray) -> np.ndarray:
-    """``sinh(z)/z`` with a series fallback near 0 (complex-safe)."""
-    out = np.ones_like(z)
-    small = np.abs(z) < 1e-4
-    zs = z[small]
-    out[small] = 1.0 + zs**2 / 6.0 + zs**4 / 120.0
-    zb = z[~small]
-    out[~small] = np.sinh(zb) / zb
-    return out
 
 
 def acoustic_propagator(k2: np.ndarray, nu: float, dt: float):
@@ -164,14 +154,14 @@ def acoustic_propagator(k2: np.ndarray, nu: float, dt: float):
     ep = np.exp((m + delta) * dt)
     em = np.exp((m - delta) * dt)
     cosh_term = 0.5 * (ep + em)
-    # sinh(delta dt)/delta * exp(m dt), with a series for nearly equal
-    # eigenvalues
+    # sinh(delta dt)/delta * exp(m dt), with the series of sinh(z)/z for
+    # nearly equal eigenvalues
     z = delta * dt
     small = np.abs(z) < 1e-4
     s_term = np.empty_like(k2c)
-    denom = 2.0 * delta[~small]
-    s_term[~small] = (ep[~small] - em[~small]) / denom
-    s_term[small] = dt * np.exp(m[small] * dt) * _sinhc(z[small])
+    s_term[~small] = (ep[~small] - em[~small]) / (2.0 * delta[~small])
+    zs = z[small]
+    s_term[small] = dt * np.exp(m[small] * dt) * (1.0 + zs**2 / 6.0 + zs**4 / 120.0)
     e11 = cosh_term + s_term * (0.5 * nu * k2c)
     e12 = s_term * (-1j * kmag)
     e22 = cosh_term - s_term * (0.5 * nu * k2c)
@@ -194,9 +184,10 @@ class _LinearPropagator:
         for table in (self.transverse, self.e11, self.e12, self.e22):
             table.setflags(write=False)
 
-    def __call__(self, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The new stack ``[a, v_1, ..., v_d]`` one step later."""
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The stack ``x = [a, v_1, ..., v_d]`` one step later, a new stack."""
         khat = self.khat
+        a, v = x[0], x[1:]
         vlong = sum(khat[ax] * v[ax] for ax in range(self.grid.d))
         out = np.empty((self.grid.d + 1,) + a.shape, dtype=np.complex128)
         np.add(self.e11 * a, self.e12 * vlong, out=out[0])
@@ -215,9 +206,9 @@ def _propagator(grid: Grid, mu: float, nu: float, dt: float) -> _LinearPropagato
     return _LinearPropagator(grid, mu, nu, dt)
 
 
-def _cns_tendency(ws: _Workspace, a, v, params: PhysicalParams) -> np.ndarray:
+def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Dealiased nonlinear remainder ``[N_a, N_v1, ..., N_vd]`` of the
-    nonconservative system, a new stack, from the half spectra of ``a``, ``v``.
+    nonconservative system, a new stack, from the stack ``x = [a, v_1, ..., v_d]``.
 
     One physical-space evaluation: the dealiased ``a``, ``v``, ``grad v``
     and viscous term (and ``grad a`` when ``gamma != 2``) go to physical
@@ -231,7 +222,7 @@ def _cns_tendency(ws: _Workspace, a, v, params: PhysicalParams) -> np.ndarray:
     pressure = params.gamma != 2.0
     f = ws.buffer("cns", (1 + 2 * d + d * d + (d if pressure else 0),)
                   + grid.spectral_shape)
-    ah, vh = np.multiply(a, mask, out=f[0]), np.multiply(v, mask, out=f[1:1 + d])
+    ah, vh = np.multiply(x[0], mask, out=f[0]), np.multiply(x[1:], mask, out=f[1:1 + d])
     divv = sum(ik[j] * vh[j] for j in range(d))
     for i in range(d):
         for j in range(d):
@@ -261,6 +252,9 @@ def _cns_tendency(ws: _Workspace, a, v, params: PhysicalParams) -> np.ndarray:
     return np.concatenate([na[None], oh[d:]])
 
 
+_FIELD_MAX = 1e8  # largest speed a state may reach before the run ends
+
+
 def _check_state(state: FlowState, config: StepperConfig,
                  system: str = "cns") -> tuple:
     """Blow-up guards on the state's physical values, ``[a, v_1, ..., v_d]``
@@ -283,9 +277,19 @@ def _check_state(state: FlowState, config: StepperConfig,
         ratio = float(np.max(np.abs(a_s / (1.0 + a_s))))
     v_s = samples[1:] if system == "cns" else samples
     speed = float(np.max(np.sqrt(np.sum(v_s * v_s, axis=0))))
-    if speed > config.field_max:
+    if speed > _FIELD_MAX:
         raise BlowupError(t, "velocity magnitude overflow")
     return speed, ratio
+
+
+def _heun(x: np.ndarray, propagate, tendency, dt: float) -> np.ndarray:
+    """One integrating-factor Heun step ``u + dt/2 (p1 + N(u + dt p1))`` with
+    ``u = P x`` and ``p1 = P N(x)``, ``P`` the exact linear flow over ``dt``
+    (``propagate``) and ``N`` the nonlinear tendency; both map a stack of
+    half spectra to a new one."""
+    u = propagate(x)
+    p1 = propagate(tendency(x))
+    return u + 0.5 * dt * (p1 + tendency(u + dt * p1))
 
 
 def step_cns(state: FlowState, params: PhysicalParams, dt: float,
@@ -304,14 +308,9 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
     if not checked:
         _check_state(state, config)
     ws = _workspace(grid)
-    prop = _propagator(grid, params.mu, params.nu, dt)
-    a, v = state.a.coeffs, state.v.coeffs
-    u = prop(a, v)
-    k1 = _cns_tendency(ws, a, v, params)
-    p1 = prop(k1[0], k1[1:])
-    mid = u + dt * p1
-    k2 = _cns_tendency(ws, mid[0], mid[1:], params)
-    u = u + 0.5 * dt * (p1 + k2)
+    u = _heun(np.concatenate([state.a.coeffs[None], state.v.coeffs]),
+              _propagator(grid, params.mu, params.nu, dt),
+              lambda x: _cns_tendency(ws, x, params), dt)
     return FlowState(SpectralField(grid, u[0]), SpectralField(grid, u[1:]),
                      state.t + dt)
 
@@ -343,18 +342,13 @@ def step_ins(state: FlowState, mu: float, dt: float) -> FlowState:
     grid = state.v.grid
     if not np.all(np.isfinite(state.v.coeffs)):
         raise BlowupError(state.t, "non-finite field values")
-    div_norm = lp_norm(divergence(state.v), 2)
-    v_norm = lp_norm(state.v, 2)
-    if div_norm > 1e-12 * max(v_norm, 1e-300):
+    div_norm = l2_norm_spectral(divergence(state.v))
+    if div_norm > 1e-12 * max(l2_norm_spectral(state.v), 1e-300):
         raise SpectralError(f"step_ins needs div V = 0 (got {div_norm:.3e})")
     ws = _workspace(grid)
     decay = np.exp(-mu * grid.k2 * dt)
-    v = state.v.coeffs
-    pv = decay * v
-    k1 = _ins_tendency(ws, v)
-    k2 = _ins_tendency(ws, pv + dt * decay * k1)
-    pv = pv + 0.5 * dt * (decay * k1 + k2)
-    return replace(state, v=SpectralField(grid, pv), t=state.t + dt)
+    v = _heun(state.v.coeffs, lambda x: decay * x, lambda x: _ins_tendency(ws, x), dt)
+    return replace(state, v=SpectralField(grid, v), t=state.t + dt)
 
 
 def ins_pressure(V: SpectralField) -> SpectralField:
@@ -402,14 +396,14 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
 
 
 def _adaptive_dt(grid: Grid, bounds: tuple, params: PhysicalParams,
-                 config: StepperConfig, system: str) -> float:
+                 config: StepperConfig) -> float:
     """Time step from the state's bounds (as returned by :func:`_check_state`)."""
     if config.fixed_dt is not None:
         return config.fixed_dt
     vmax, amax = bounds
     dt_adv = grid.dx / vmax if vmax > 0 else math.inf
     dt_visc = math.inf
-    if system == "cns" and amax > 0:
+    if amax > 0:
         # explicit Heun stability for the variable-coefficient viscous
         # remainder ~ (a/(1+a)) nu Lap v on the dealiased band
         dt_visc = 2.0 / (params.nu * amax * _workspace(grid).k2max)
@@ -445,7 +439,7 @@ def run(initial: FlowState, params: PhysicalParams,
     try:
         bounds = _check_state(state, config, system)
         while state.t < horizon - 1e-12:
-            dt = _adaptive_dt(grid, bounds, params, config, system)
+            dt = _adaptive_dt(grid, bounds, params, config)
             dt = min(dt, horizon - state.t)
             if pending:
                 dt = min(dt, pending[0] - state.t)

@@ -60,8 +60,8 @@ def _grid(N=16):
 
 def _linear_flow(monkeypatch):
     """Switch the nonlinear remainder of the compressible step off."""
-    monkeypatch.setattr(bcns.solvers, "_cns_tendency", lambda ws, a, v, params:
-                        np.zeros((1 + len(v),) + a.shape, dtype=complex))
+    monkeypatch.setattr(bcns.solvers, "_cns_tendency",
+                        lambda ws, x, params: np.zeros_like(x))
 
 
 def test_params_validation():
@@ -91,7 +91,7 @@ def test_stepper_config_validation():
                          ("fixed_dt", 0.0), ("fixed_dt", -1e-3),
                          ("a_inf_max", -1.0), ("a_inf_max", math.nan),
                          ("vacuum_floor", math.nan), ("vacuum_floor", 1.0),
-                         ("vacuum_floor", -0.1), ("field_max", math.inf)):
+                         ("vacuum_floor", -0.1), ("a_inf_max", math.inf)):
         with pytest.raises(SpectralError, match=field):
             StepperConfig(**{field: value})
     assert StepperConfig(fixed_dt=1e-3).fixed_dt == 1e-3
@@ -291,6 +291,47 @@ def test_step_ins_rejects_compressible_data():
         step_ins(FlowState(zeros(g), v, 0.0), 1.0, 0.01)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_step_ins_divergence_precondition(d):
+    # the check reads the coefficients (Parseval): Taylor-Green data pass,
+    # a divergence of 1e-10 of the velocity's norm is refused
+    g = make_grid(d, 16)
+    V = taylor_green(g)
+    step_ins(FlowState(zeros(g), V, 0.0), 1.0, 0.01)
+    x = g.meshes()[0]
+    bump = np.zeros((d,) + g.shape)
+    bump[0] = np.sin(x)
+    bump = forward_transform(bump, g)
+    bump = bump * (1e-10 * lp_norm(V, 2) / lp_norm(divergence(bump), 2))
+    assert lp_norm(divergence(V + bump), 2) == pytest.approx(1e-10 * lp_norm(V + bump, 2))
+    with pytest.raises(SpectralError, match="div V = 0"):
+        step_ins(FlowState(zeros(g), V + bump, 0.0), 1.0, 0.01)
+
+
+def _written_out_step_ins(state, mu, dt):
+    # oracle: the incompressible Heun step written out in full
+    g = state.v.grid
+    ws = _workspace(g)
+    decay = np.exp(-mu * g.k2 * dt)
+    v = state.v.coeffs
+    pv = decay * v
+    k1 = _ins_tendency(ws, v)
+    k2 = _ins_tendency(ws, pv + dt * decay * k1)
+    return pv + 0.5 * dt * (decay * k1 + k2)
+
+
+@pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+def test_step_ins_matches_the_written_out_heun_step(d, N):
+    _, v = _random_state(d, N)
+    st = FlowState(zeros(make_grid(d, N)), leray_project(v), 0.0)
+    for _ in range(3):
+        got = step_ins(st, 0.7, 2e-3)
+        want = _written_out_step_ins(st, 0.7, 2e-3)
+        assert _rel_diff(got.v.coeffs, want) <= 1e-14
+        assert got.t == st.t + 2e-3
+        st = got
+
+
 def test_step_heat_unforced_mode():
     g = _grid()
     x, _ = g.meshes()
@@ -477,7 +518,8 @@ def _half(c):
 def test_cns_tendency_matches_product_chain(d, N, gamma):
     a, v = _random_state(d, N)
     params = PhysicalParams(mu=0.7, lam=1.3, gamma=gamma)
-    n = _cns_tendency(_workspace(a.grid), a.coeffs, v.coeffs, params)
+    n = _cns_tendency(_workspace(a.grid), np.concatenate([a.coeffs[None], v.coeffs]),
+                      params)
     want_a, want_v = _product_chain_cns_tendency(a, v, params)
     assert _rel_diff(n[0], want_a) <= 1e-13
     assert _rel_diff(n[1:], want_v) <= 1e-13
@@ -599,7 +641,8 @@ def test_results_never_alias_the_workspace(d, N):
 
     def results(scale):
         # the flow steps, then the product path, which shares the workspace
-        return [_cns_tendency(ws, a.coeffs * scale, v.coeffs, params),
+        return [_cns_tendency(ws, np.concatenate([a.coeffs[None] * scale, v.coeffs]),
+                              params),
                 _ins_tendency(ws, V.coeffs * scale),
                 *vars(step_cns(FlowState(a * scale, v, 0.0), params, 1e-3)).values(),
                 step_ins(FlowState(a, V * scale, 0.0), 0.7, 1e-3).v,
@@ -675,6 +718,16 @@ def test_run_guards_the_state_of_its_last_step(monkeypatch):
         assert traj.times == [0.0]  # the bad state is not recorded
         assert any(ev.startswith("blowup:density deviation")
                    for _, ev in traj.events)
+
+
+@pytest.mark.parametrize("system", ["cns", "ins"])
+def test_run_ends_on_velocity_overflow(system):
+    g = _grid()
+    traj = run(FlowState(zeros(g), taylor_green(g, 1e9), 0.0),
+               PhysicalParams(mu=1.0, lam=0.0), StepperConfig(), 0.1, system=system)
+    assert traj.terminated == "blowup"
+    assert traj.times == [0.0]
+    assert (0.0, "blowup:velocity magnitude overflow") in traj.events
 
 
 def test_incompressible_run_with_nan_ends_blowup():

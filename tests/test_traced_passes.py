@@ -1,0 +1,39 @@
+"""Tiny ``sweep`` and ``lemmas`` passes under the benchmark's span tracer:
+the tracer binds ``step_cns``'s arguments by name and counts the lemma
+reports, so a change of either signature breaks the traced benchmark."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import spans  # noqa: E402
+
+
+def _traced(command, config_text, tmp_path):
+    from bcns import cli
+
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(config_text)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("cli.main", "cli"):
+            rc = cli.main([command, "--config", str(cfg),
+                           "--out", str(tmp_path / command)])
+    finally:
+        tracer.uninstall()
+    return rc, tracer.metrics()
+
+
+def test_traced_sweep_pass(tmp_path):
+    rc, metrics = _traced("sweep", "N = 16\nT = 0.1\nsnapshots = 3\n"
+                          "nu_list = 1, 10, 100\n", tmp_path)
+    assert rc == 0
+    assert metrics["solvers.step_cns.calls"] > 0
+
+
+def test_traced_lemmas_pass(tmp_path):
+    rc, metrics = _traced("lemmas", "trials = 10\n", tmp_path)
+    assert rc == 0
+    assert metrics["lemmas.reports"] == 16
