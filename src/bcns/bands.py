@@ -5,8 +5,9 @@ radial step equal to 1 on ``|xi| <= 3/4`` and 0 on ``|xi| >= 4/3``, built
 from the C-infinity transition ``theta(t) = h(1-t) / (h(t) + h(1-t))`` with
 ``h(t) = exp(-1/t)`` for ``t > 0`` (else 0), and ``phi(xi) = chi(xi/2) -
 chi(xi)``, supported in the annulus ``3/4 <= |xi| <= 8/3``.  By telescoping,
-``sum_j phi(2^-j |k|) = 1`` holds exactly on every nonzero lattice mode once
-the band range covers the lattice radii.
+``sum_j phi(2^-j |k|) = 1`` holds exactly on every nonzero lattice mode
+over the bands whose annulus meets the lattice: ``j = -1`` (unit radius) up
+to the largest ``j`` with ``(3/4) 2^j < sqrt(d) N / 2`` (corner radius).
 
 Zero-mode convention: homogeneous norms ignore the mean.  ``dyadic_block``
 always returns zero-mean fields (``phi(0) = 0``) and ``besov_norm`` is blind
@@ -68,7 +69,8 @@ class DyadicBands:
     """Littlewood-Paley partition attached to a grid.
 
     ``phi_mult[j]`` is the multiplier table ``phi(2^-j |k|)`` for
-    ``j in [j_min, j_max]``; their sum is 1 on every nonzero lattice mode.
+    ``j in [j_min, j_max]``, the bands that meet the lattice; their sum is 1
+    on every nonzero lattice mode.
     """
 
     grid: Grid
@@ -79,9 +81,8 @@ class DyadicBands:
 
     def __post_init__(self) -> None:
         g = self.grid
-        rho_max = math.sqrt(g.d) * g.N / 2.0
         j_min = -1
-        j_max = math.ceil(math.log2(rho_max)) + 1
+        j_max = math.ceil(math.log2(math.sqrt(g.d) * g.N / 3.0))
         phi = {j: phi_profile(g.kmag / 2.0**j) for j in range(j_min, j_max + 1)}
         object.__setattr__(self, "j_min", j_min)
         object.__setattr__(self, "j_max", j_max)
@@ -106,8 +107,8 @@ class DyadicBands:
 
 
 def build_partition(grid: Grid) -> DyadicBands:
-    """Construct the dyadic partition for a grid; ``j_min = -1`` and
-    ``j_max = ceil(log2(sqrt(d) N / 2)) + 1`` cover all lattice radii."""
+    """Construct the dyadic partition for a grid: ``j_min = -1`` and
+    ``j_max = ceil(log2(sqrt(d) N / 3))``, the bands that meet the lattice."""
     return DyadicBands(grid)
 
 
@@ -140,29 +141,25 @@ def besov_norm(f: SpectralField, idx: BesovIndex, bands: DyadicBands) -> float:
     return besov_sum(band_lp_norms(f, idx.p, bands), idx, bands)
 
 
-def besov_sum(norms: np.ndarray, idx: BesovIndex, bands: DyadicBands) -> float:
-    """``l^r`` over j of ``2^{js} norms[j]`` for a band table ordered by j
-    (``idx.p`` is not read: the table already holds the ``L^p`` norms)."""
-    weights = 2.0 ** (idx.s * np.arange(bands.j_min, bands.j_max + 1))
-    terms = weights * norms
+def besov_sum(norms: np.ndarray, idx: BesovIndex, bands: DyadicBands):
+    """``l^r`` over j of ``2^{js} norms[..., j]`` for band tables with j on
+    the last axis: a float for one table, an array for a stack of them
+    (``idx.p`` is not read: the tables already hold the ``L^p`` norms)."""
+    terms = 2.0 ** (idx.s * np.arange(bands.j_min, bands.j_max + 1)) * norms
     if math.isinf(idx.r):
-        return float(np.max(terms))
-    return float(np.sum(terms**idx.r) ** (1.0 / idx.r))
+        out = np.max(terms, axis=-1)
+    else:
+        out = np.sum(terms**idx.r, axis=-1) ** (1.0 / idx.r)
+    return float(out) if out.ndim == 0 else out
 
 
 def split_low_high(f: SpectralField, nu: float, bands: DyadicBands):
     """Split ``f - mean(f)`` into low bands (``2^j nu <= 1``) and the rest."""
-    low_js = bands.low_bands(nu)
-    g = f.grid
-    low_mult = np.zeros(g.spectral_shape)
-    high_mult = np.zeros(g.spectral_shape)
-    for j in bands.j_range:
-        if j in low_js:
-            low_mult += bands.phi_mult[j]
-        else:
-            high_mult += bands.phi_mult[j]
-    return (SpectralField(g, f.coeffs * low_mult),
-            SpectralField(g, f.coeffs * high_mult))
+    n_low = len(bands.low_bands(nu))      # the low bands are a prefix of j
+    tables = [bands.phi_mult[j] for j in bands.j_range]
+    zero = np.zeros(f.grid.spectral_shape)
+    return (SpectralField(f.grid, f.coeffs * sum(tables[:n_low], zero)),
+            SpectralField(f.grid, f.coeffs * sum(tables[n_low:], zero)))
 
 
 def chemin_lerner_norm(times, fields, q: float, idx: BesovIndex,

@@ -50,6 +50,10 @@ class ConfigError(ValueError):
     pass
 
 
+class BlowupError(Exception):
+    """The incompressible reference of a sweep blew up."""
+
+
 @dataclass
 class RunConfig:
     d: int = 2
@@ -277,37 +281,33 @@ def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.params()
     stepcfg = cfg.stepper()
     snap_times = np.linspace(0.0, cfg.T, cfg.snapshots)
-    tagged = []
-    traj_cns = traj_ins = None
-    status = 0
-    if cfg.system in ("both", "ins"):
-        V0 = leray_project(v0)
-        traj_ins = run(FlowState(zeros(grid), V0, 0.0), params, stepcfg, cfg.T,
-                       system="ins", snap_times=snap_times)
-        tagged.append(("ins", traj_ins.events))
-        _snapshot_series(outdir, "ins", traj_ins, cfg.write_snapshots)
-    if cfg.system in ("both", "cns"):
-        traj_cns = run(FlowState(a0, v0, 0.0), params, stepcfg, cfg.T,
-                       system="cns", snap_times=snap_times)
-        tagged.append(("cns", traj_cns.events))
-        _snapshot_series(outdir, "cns", traj_cns, cfg.write_snapshots)
-        if traj_cns.terminated == "blowup":
-            status = 3
-    _write_events(outdir / "events.log", tagged)
-    if traj_cns is not None and traj_ins is not None and status == 0:
-        ledger = norm_ledger(traj_cns, traj_ins, params, cfg.p, bands)
+    runs = {}
+    for tag, a_init, v_init in (("ins", zeros(grid), leray_project(v0)),
+                                ("cns", a0, v0)):
+        if cfg.system in ("both", tag):
+            runs[tag] = run(FlowState(a_init, v_init, 0.0), params, stepcfg,
+                            cfg.T, system=tag, snap_times=snap_times)
+            _snapshot_series(outdir, tag, runs[tag], cfg.write_snapshots)
+    _write_events(outdir / "events.log",
+                  [(tag, traj.events) for tag, traj in runs.items()])
+    names = {"ins": "incompressible reference", "cns": "compressible run"}
+    blown = [names[tag] for tag, traj in runs.items() if traj.terminated == "blowup"]
+    if blown:
+        print(f"simulate: {' and '.join(blown)} terminated by blow-up "
+              "(partial artifacts kept)", file=sys.stderr)
+        return 3
+    if len(runs) == 2:
+        ledger = norm_ledger(runs["cns"], runs["ins"], params, cfg.p, bands)
         _write_ledger_csv(outdir / "ledger.csv", ledger)
         print(f"M = {ledger.M:.6g}  smallness lhs = {ledger.smallness_lhs:.6g}  "
               f"rhs = {ledger.smallness_rhs:.6g}")
-    if status == 3:
-        print("simulate: compressible run terminated by blow-up "
-              "(partial artifacts kept)", file=sys.stderr)
-    return status
+    return 0
 
 
 def sweep_once(cfg: RunConfig):
     """One full viscosity sweep; returns (SweepResult, bands).  Viscosities
-    that cannot carry the rate fit raise :class:`FitError` before any run."""
+    that cannot carry the rate fit raise :class:`FitError` before any run,
+    a reference blow-up :class:`BlowupError` before any member runs."""
     if cfg.a0_file:
         raise ConfigError("sweep enforces a0 = 0; remove 'a0_file'")
     check_viscosities(cfg.nu_list)
@@ -319,6 +319,9 @@ def sweep_once(cfg: RunConfig):
     V0 = leray_project(v0)
     traj_ins = run(FlowState(zeros(grid), V0, 0.0), params0, stepcfg, cfg.T,
                    system="ins", snap_times=snap_times)
+    if traj_ins.terminated == "blowup":
+        raise BlowupError("incompressible reference terminated by blow-up "
+                          f"({traj_ins.events[-2][1]}); no member run")
     nus, errors, excluded = [], [], []
     for nu in cfg.nu_list:
         params = cfg.params(nu)
@@ -345,6 +348,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     except FitError as exc:
         print(f"sweep: fit failure: {exc}", file=sys.stderr)
         return 4
+    except BlowupError as exc:
+        print(f"sweep: {exc}", file=sys.stderr)
+        return 3
     with open(outdir / "sweep.csv", "w") as fh:
         fh.write("nu,err_density,err_sup,err_grad_l1,err_dt_l1\n")
         for nu, err in zip(result.nu_values, result.errors):

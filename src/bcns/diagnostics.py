@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -244,20 +244,16 @@ def decomposition_residual(traj_cns: Trajectory, traj_ins: Trajectory,
     return DecompositionResidual(S.times, r_mass, r_long, r_sol)
 
 
-def _split_tables(f: SpectralField, nu: float, bands: DyadicBands, p: float):
-    """Band tables of the low part of ``f`` in ``L^2`` and of its high part
-    in ``L^p``, for weighting at several indices with :func:`besov_sum`."""
-    low, high = split_low_high(f, nu, bands)
-    return band_lp_norms(low, 2.0, bands), band_lp_norms(high, p, bands)
+def _table(fields, p: float, bands: DyadicBands) -> np.ndarray:
+    """(snapshot x band) table of ``||Delta_j f||_{L^p}`` over an iterable
+    of fields, for weighting at several indices with :func:`besov_sum`."""
+    return np.array([band_lp_norms(f, p, bands) for f in fields])
 
 
 def _trapezoid_running(times, values):
     """Running integral of sampled values (trapezoid), same length as input."""
-    out = np.zeros(len(times))
-    for i in range(1, len(times)):
-        out[i] = out[i - 1] + 0.5 * (times[i] - times[i - 1]) * (
-            values[i] + values[i - 1])
-    return out
+    steps = 0.5 * np.diff(times) * (values[1:] + values[:-1])
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 @dataclass
@@ -303,7 +299,7 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
                       f"[2, {p_cap}) for d={d}; computing anyway",
                       stacklevel=2)
     S = decompose(traj_cns, traj_ins)
-    times, n = S.times, len(S.times)
+    times = S.times
     nu, mu = params.nu, params.mu
 
     low2 = BesovIndex(-1.0 + d / 2.0, 2.0, 1.0)     # low-frequency base index
@@ -313,53 +309,45 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
     vp = BesovIndex(-1.0 + d / p, p, 1.0)
     vp_hi = BesovIndex(1.0 + d / p, p, 1.0)
 
-    def norm(table, idx):
-        return besov_sum(table, idx, bands)
+    norm = partial(besov_sum, bands=bands)
 
-    x_snap = np.empty(n)
-    y_rate = np.empty(n)
-    z_snap = np.empty(n)
-    w_rate = np.empty(n)
-    v_sup_snap = np.empty(n)
-    v_rate = np.empty(n)
-    m_rate = np.empty(n)
-    for i in range(n):
-        # one band table per (field, low/high part), weighted per index
-        grad_a = gradient(S.a[i])
-        a_lo, a_hi = _split_tables(S.a[i], nu, bands, p)
-        ga_lo = band_lp_norms(split_low_high(grad_a, nu, bands)[0], 2.0, bands)
-        qu_lo, qu_hi = _split_tables(S.Qu[i], nu, bands, p)
-        x_snap[i] = (norm(a_lo, low2) + nu * norm(ga_lo, low2)
-                     + norm(qu_lo, low2)) + nu * norm(a_hi, hp) + norm(qu_hi, vp)
+    def low_high(fields):
+        """Tables of the low parts in ``L^2`` and of the high parts in
+        ``L^p``; one snapshot's parts are alive at a time."""
+        rows = [(band_lp_norms(lo, 2.0, bands), band_lp_norms(hi, p, bands))
+                for lo, hi in (split_low_high(f, nu, bands) for f in fields)]
+        return tuple(np.array(t) for t in zip(*rows))
 
-        dmp_lo, dmp_hi = _split_tables(S.Qu_t[i] + grad_a, nu, bands, p)
-        y_rate[i] = (nu * norm(a_lo, low2_hi) + nu**2 * norm(ga_lo, low2_hi)
-                     + nu * norm(qu_lo, low2_hi) + norm(a_hi, hp)
-                     + nu * norm(qu_hi, vp_hi) + norm(dmp_lo, low2)
-                     + norm(dmp_hi, vp))
+    # one (snapshot x band) table per series and low/high part
+    a_lo, a_hi = low_high(S.a)
+    ga_lo = _table((split_low_high(gradient(a), nu, bands)[0] for a in S.a),
+                   2.0, bands)
+    qu_lo, qu_hi = low_high(S.Qu)
+    dmp_lo, dmp_hi = low_high(qt + gradient(a) for qt, a in zip(S.Qu_t, S.a))
+    pu, big_v = _table(S.Pu, p, bands), _table(S.V, p, bands)
+    pu_t = np.array([besov_norm(f, vp, bands) for f in S.Pu_t])
+    big_vt = np.array([besov_norm(f, vp, bands) for f in S.V_t])
 
-        pu = band_lp_norms(S.Pu[i], p, bands)
-        z_snap[i] = norm(pu, vp)
-        w_rate[i] = besov_norm(S.Pu_t[i], vp, bands) + norm(pu, vp_hi)
+    X = np.maximum.accumulate((norm(a_lo, low2) + nu * norm(ga_lo, low2)
+                               + norm(qu_lo, low2)) + nu * norm(a_hi, hp)
+                              + norm(qu_hi, vp))
+    Y = _trapezoid_running(times, nu * norm(a_lo, low2_hi)
+                           + nu**2 * norm(ga_lo, low2_hi)
+                           + nu * norm(qu_lo, low2_hi) + norm(a_hi, hp)
+                           + nu * norm(qu_hi, vp_hi) + norm(dmp_lo, low2)
+                           + norm(dmp_hi, vp))
+    Z = np.maximum.accumulate(norm(pu, vp))
+    W = _trapezoid_running(times, pu_t + norm(pu, vp_hi))
+    v_sup = norm(big_v, vp)
+    Vcal = (np.maximum.accumulate(v_sup)
+            + _trapezoid_running(times, big_vt + norm(big_v, vp_hi)))
+    M = float(np.max(v_sup)
+              + _trapezoid_running(times, big_vt + mu * norm(big_v, vp_hi))[-1])
 
-        big_v = band_lp_norms(S.V[i], p, bands)
-        big_vt = besov_norm(S.V_t[i], vp, bands)
-        v_sup_snap[i] = norm(big_v, vp)
-        v_rate[i] = big_vt + norm(big_v, vp_hi)
-        m_rate[i] = big_vt + mu * norm(big_v, vp_hi)
-
-    X = np.maximum.accumulate(x_snap)
-    Y = _trapezoid_running(times, y_rate)
-    Z = np.maximum.accumulate(z_snap)
-    W = _trapezoid_running(times, w_rate)
-    Vcal = np.maximum.accumulate(v_sup_snap) + _trapezoid_running(times, v_rate)
-    M = float(np.max(v_sup_snap) + _trapezoid_running(times, m_rate)[-1])
-
-    a0_lo, a0_hi = _split_tables(S.a[0], nu, bands, p)
-    Qv0 = compressible_project(traj_cns.states[0].v)
-    q0_lo, q0_hi = _split_tables(Qv0, nu, bands, p)
-    lhs = (norm(a0_lo, low2) + nu * norm(a0_lo, low2_mid) + nu * norm(a0_hi, hp)
-           + norm(q0_lo, low2) + norm(q0_hi, vp) + M**2 + mu**2)
+    (q0_lo,), (q0_hi,) = low_high([compressible_project(traj_cns.states[0].v)])
+    lhs = (norm(a_lo[0], low2) + nu * norm(a_lo[0], low2_mid)
+           + nu * norm(a_hi[0], hp) + norm(q0_lo, low2) + norm(q0_hi, vp)
+           + M**2 + mu**2)
     rhs = math.sqrt(mu * nu) * math.exp(-(M + M**2))
     return NormLedger(times, X, Y, Z, W, Vcal, M, lhs, rhs)
 
@@ -400,9 +388,8 @@ def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, p: float,
     if dens[0] > 1e-12:
         raise SpectralError("limit_error requires a_0 = 0 in the compressible run")
 
-    pu = [band_lp_norms(f, p, bands) for f in S.Pu]
-    sups = np.array([besov_sum(t, vp, bands) for t in pu])
-    grads = np.array([besov_sum(t, vp_hi, bands) for t in pu])
+    pu = _table(S.Pu, p, bands)
+    sups, grads = besov_sum(pu, vp, bands), besov_sum(pu, vp_hi, bands)
     dts = np.array([besov_norm(f, vp, bands) for f in S.Pu_t])
 
     return LimitError(

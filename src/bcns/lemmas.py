@@ -162,7 +162,7 @@ def check_bernstein(trials: int = 100, grid_sizes=(16, 32, 64),
     def trial(grid, bands, rng):
         nonlocal annulus_ok, worst_lo, worst_hi
         f = random_field(grid, rng)
-        j = int(rng.integers(0, bands.j_max - 1))
+        j = int(rng.integers(0, bands.j_max + 1))
         blk = dyadic_block(f, j, bands)
         n0 = lp_norm(blk, 2)
         if n0 < 1e-14:

@@ -5,7 +5,9 @@ import pytest
 
 from bcns.bands import (
     BesovIndex,
+    band_lp_norms,
     besov_norm,
+    besov_sum,
     build_partition,
     chemin_lerner_norm,
     chi_profile,
@@ -28,13 +30,19 @@ def _rand(grid, seed):
     return forward_transform(rng.standard_normal(grid.shape), grid)
 
 
-@pytest.mark.parametrize("d,N", [(2, 16), (2, 32), (2, 64), (3, 16)])
+@pytest.mark.parametrize("d,N", [(2, 16), (2, 32), (2, 64), (3, 16), (3, 32)])
 def test_partition_of_unity(d, N):
     g = make_grid(d, N)
     b = build_partition(g)
     total = sum(b.phi_mult[j] for j in b.j_range)
     nz = g.kmag > 0
     assert np.max(np.abs(total[nz] - 1.0)) <= 1e-12
+    # the range is exactly the bands that meet the lattice: each has a
+    # nonzero mode, and the bands just outside vanish on the whole grid (so
+    # clamping the remainder's neighbour bands to the range stays exact)
+    assert all(np.any(b.phi_mult[j] != 0.0) for j in b.j_range)
+    for j in (b.j_min - 1, b.j_max + 1):
+        assert not np.any(phi_profile(g.kmag / 2.0**j))
 
 
 def test_profile_supports():
@@ -192,6 +200,19 @@ def test_split_rejects_bad_nu():
     b = build_partition(g)
     with pytest.raises(SpectralError):
         split_low_high(_rand(g, 0), 0.0, b)
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+def test_besov_sum_weights_a_stack_row_by_row(r):
+    g = make_grid(2, 16)
+    b = build_partition(g)
+    idx = BesovIndex(0.75, 2, r)
+    table = np.array([band_lp_norms(_rand(g, seed), 2, b) for seed in range(5)])
+    got = besov_sum(table, idx, b)
+    assert isinstance(got, np.ndarray) and got.shape == (5,)
+    rows = [besov_sum(row, idx, b) for row in table]
+    assert all(type(v) is float for v in rows)
+    assert np.array_equal(got, rows)
 
 
 def test_chemin_lerner_constant_field():

@@ -123,19 +123,48 @@ def test_simulate_cns_only_with_all_snapshots(tmp_path):
     assert t_last == pytest.approx(0.1)
 
 
-def test_simulate_blowup_exit_code(tmp_path):
-    g = make_grid(2, 16)
-    x, _ = g.meshes()
-    a0 = forward_transform(0.95 * np.cos(x) + np.zeros(g.shape), g)
-    snap = tmp_path / "a0.snap"
-    write_snapshot(snap, a0, 0.0)
+@pytest.mark.parametrize("tag", ["cns", "ins"])
+def test_simulate_blowup_exit_code(tmp_path, capsys, tag):
+    # the density leaves the guards in the compressible run; the velocity
+    # overflows in the incompressible reference
+    if tag == "cns":
+        g = make_grid(2, 16)
+        x, _ = g.meshes()
+        snap = tmp_path / "a0.snap"
+        write_snapshot(snap, forward_transform(0.95 * np.cos(x) + np.zeros(g.shape), g),
+                       0.0)
+        text = f"T = 0.3\nsnapshots = 5\nnu = 2\na0_file = {snap}\n"
+        run_name = "compressible run"
+    else:
+        text = "T = 0.1\nsnapshots = 3\nsystem = ins\namp = 1e9\n"
+        run_name = "incompressible reference"
     cfgfile = tmp_path / "sim.cfg"
-    cfgfile.write_text(
-        f"N = 16\nT = 0.3\nsnapshots = 5\nnu = 2\na0_file = {snap}\n"
-        f"output_dir = {tmp_path/'out'}\n")
+    cfgfile.write_text(f"N = 16\n{text}output_dir = {tmp_path/'out'}\n")
     rc = main(["simulate", "--config", str(cfgfile)])
     assert rc == 3
-    assert (tmp_path / "out" / "events.log").exists()  # partial artifacts kept
+    assert f"{run_name} terminated by blow-up" in capsys.readouterr().err
+    events = (tmp_path / "out" / "events.log").read_text()  # partial artifacts kept
+    assert f"event={tag}:blowup:" in events
+
+
+def test_sweep_reference_blowup_exits_3_before_any_member(tmp_path, capsys,
+                                                         monkeypatch):
+    real_run = bcns.cli.run
+    systems = []
+
+    def counting_run(*args, system, **kwargs):
+        systems.append(system)
+        return real_run(*args, system=system, **kwargs)
+
+    monkeypatch.setattr(bcns.cli, "run", counting_run)
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("N = 16\nT = 0.1\nsnapshots = 3\namp = 1e9\n"
+                       "nu_list = 4, 16, 64, 256\n")
+    rc = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert systems == ["ins"]
+    assert "incompressible reference terminated by blow-up" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
 def test_sweep_csv_schema_and_determinism(tmp_path):

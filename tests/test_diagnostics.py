@@ -153,9 +153,10 @@ def test_h2_all_zero():
     assert all(lp_norm(t, 2) == 0.0 for t in terms)
 
 
-def _paired_runs(N, T, dt, gamma=1.4, nu=3.0, amp=0.2, nsnap=None):
+def _paired_runs(N, T, dt, gamma=1.4, nu=3.0, amp=0.2, nsnap=None, a_amp=0.0):
     g = make_grid(2, N)
     x, _ = g.meshes()
+    a0 = forward_transform(a_amp * np.cos(x) + np.zeros(g.shape), g)
     v0 = taylor_green(g) + forward_transform(
         np.stack([amp * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
     params = PhysicalParams.from_nu(1.0, nu, gamma)
@@ -164,7 +165,7 @@ def _paired_runs(N, T, dt, gamma=1.4, nu=3.0, amp=0.2, nsnap=None):
     snaps = np.linspace(0.0, T, nsnap)
     traj_ins = run(FlowState(zeros(g), leray_project(v0), 0.0), params, cfg, T,
                    system="ins", snap_times=snaps)
-    traj_cns = run(FlowState(zeros(g), v0, 0.0), params, cfg, T,
+    traj_cns = run(FlowState(a0, v0, 0.0), params, cfg, T,
                    system="cns", snap_times=snaps)
     return traj_cns, traj_ins, params
 
@@ -403,6 +404,20 @@ def _ledger_reference(traj_cns, traj_ins, params, p, b):
     return cols, M, lhs
 
 
+def _assert_ledger_matches_reference(traj_cns, traj_ins, params, p, b):
+    led = norm_ledger(traj_cns, traj_ins, params, p, b)
+    cols, M, lhs = _ledger_reference(traj_cns, traj_ins, params, p, b)
+    times = np.asarray(traj_cns.times)
+    assert np.array_equal(led.X, np.maximum.accumulate(cols[0]))
+    assert np.array_equal(led.Y, _trapezoid_running(times, cols[1]))
+    assert np.array_equal(led.Z, np.maximum.accumulate(cols[2]))
+    assert np.array_equal(led.W, _trapezoid_running(times, cols[3]))
+    assert np.array_equal(led.Vcal, np.maximum.accumulate(cols[4])
+                          + _trapezoid_running(times, cols[5]))
+    assert led.M == M and led.smallness_lhs == lhs
+    assert type(led.M) is float and type(led.smallness_lhs) is float
+
+
 def test_decompose_series_feeds_every_consumer():
     # nu = 0.5 puts the bands j <= 1 in the low-frequency part of the ledger
     traj_cns, traj_ins, params = _paired_runs(16, 0.1, 0.005, nu=0.5, nsnap=11)
@@ -431,20 +446,23 @@ def test_decompose_series_feeds_every_consumer():
         assert all(np.array_equal(x.coeffs, y.coeffs)
                    for x, y in zip(getattr(S, name), want)), name
 
-    led = norm_ledger(traj_cns, traj_ins, params, 2.0, b)
-    cols, M, lhs = _ledger_reference(traj_cns, traj_ins, params, 2.0, b)
-    assert np.array_equal(led.X, np.maximum.accumulate(cols[0]))
-    assert np.array_equal(led.Y, _trapezoid_running(S.times, cols[1]))
-    assert np.array_equal(led.Z, np.maximum.accumulate(cols[2]))
-    assert np.array_equal(led.W, _trapezoid_running(S.times, cols[3]))
-    assert np.array_equal(led.Vcal, np.maximum.accumulate(cols[4])
-                          + _trapezoid_running(S.times, cols[5]))
-    assert led.M == M and led.smallness_lhs == lhs
+    # p = 3 tells the low parts' L^2 tables from the high parts' L^p ones
+    for p in (2.0, 3.0):
+        _assert_ledger_matches_reference(traj_cns, traj_ins, params, p, b)
 
     err = limit_error(traj_cns, traj_ins, 2.0, b, params.mu, params.nu)
     sups = [besov_norm(leray_project(c.v) - r.v, BesovIndex(0.0, 2, 1), b)
             for c, r in zip(traj_cns.states, traj_ins.states)]
     assert err.err_sup == pytest.approx(max(sups), rel=1e-13)
+
+
+def test_ledger_with_initial_density_matches_reference():
+    # a nonzero a_0 gives every density table, and the smallness lhs's
+    # initial-density terms, a nonzero value
+    traj_cns, traj_ins, params = _paired_runs(16, 0.05, 0.005, nu=0.5, a_amp=0.05)
+    assert traj_cns.terminated == "horizon"
+    _assert_ledger_matches_reference(traj_cns, traj_ins, params, 3.0,
+                                     build_partition(_grid()))
 
 
 def test_fit_rate_power_law():
