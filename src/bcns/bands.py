@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, SpectralError, lp_norm
+from .spectral import Grid, SpectralField, SpectralError, _leading_axes, lp_norm
 
 
 def _h(t: np.ndarray) -> np.ndarray:
@@ -99,6 +100,11 @@ class DyadicBands:
             self.chi_mult[j] = chi_profile(self.grid.kmag / 2.0**j)
         return self.chi_mult[j]
 
+    @cached_property
+    def phi_squared(self) -> np.ndarray:
+        """(band x mode) matrix of ``phi(2^-j |k|)^2`` on the flat half spectrum."""
+        return np.stack([self.phi_mult[j].ravel() ** 2 for j in self.j_range])
+
     def low_bands(self, nu: float) -> list:
         """Band indices with ``2^j * nu <= 1`` (the low-frequency set)."""
         if nu <= 0:
@@ -130,6 +136,29 @@ def low_cutoff(f: SpectralField, j: int, bands: DyadicBands) -> SpectralField:
 def band_lp_norms(f: SpectralField, p: float, bands: DyadicBands) -> np.ndarray:
     """``||Delta_j f||_{L^p}`` for every band, ordered by j."""
     return np.array([lp_norm(dyadic_block(f, j, bands), p) for j in bands.j_range])
+
+
+def _mode_energy(f: SpectralField) -> np.ndarray:
+    """Parseval weight ``w_k |c_k|^2`` of each mode of the flat half spectrum,
+    summed over components: ``w = 2`` on the columns ``0 < k_d < N/2``; the
+    columns ``k_d = 0, N/2`` count their Hermitian part ``(c_k + conj(c_-k))
+    / 2``, as :func:`~bcns.spectral.inverse_transform` does."""
+    g, c, lead = f.grid, f.coeffs, _leading_axes(f.grid)
+    edges = c[..., [0, g.N // 2]]
+    partner = np.conj(np.roll(np.flip(edges, axis=lead), 1, axis=lead))  # c_-k
+    energy = 2.0 * (c.real**2 + c.imag**2)
+    energy[..., [0, g.N // 2]] = np.abs(0.5 * (edges + partner)) ** 2
+    return (energy.sum(axis=0) if f.is_vector else energy).ravel()
+
+
+def band_table(fields, p: float, bands: DyadicBands) -> np.ndarray:
+    """(field x band) table of ``||Delta_j f||_{L^p}``, one field of the
+    iterable at a time.  At ``p = 2`` by Parseval, with no transform:
+    ``||Delta_j f||_2^2 = sum_k phi(2^-j |k|)^2 w_k |c_k|^2``; otherwise each
+    row is :func:`band_lp_norms`."""
+    if p != 2:
+        return np.array([band_lp_norms(f, p, bands) for f in fields])
+    return np.sqrt(np.array([bands.phi_squared @ _mode_energy(f) for f in fields]))
 
 
 def besov_norm(f: SpectralField, idx: BesovIndex, bands: DyadicBands) -> float:
@@ -176,7 +205,7 @@ def chemin_lerner_norm(times, fields, q: float, idx: BesovIndex,
         raise SpectralError("snapshot times must be nondecreasing")
     if not math.isinf(q) and len(fields) < 2:
         raise SpectralError("time quadrature needs at least 2 snapshots for q < inf")
-    table = np.array([band_lp_norms(f, idx.p, bands) for f in fields])  # (times, bands)
+    table = band_table(fields, idx.p, bands)  # (times, bands)
     if math.isinf(q):
         band_time = np.max(table, axis=0)
     else:

@@ -21,7 +21,7 @@ import numpy as np
 from .bands import (
     BesovIndex,
     DyadicBands,
-    band_lp_norms,
+    band_table,
     besov_norm,
     besov_sum,
     split_low_high,
@@ -221,33 +221,24 @@ def decomposition_residual(traj_cns: Trajectory, traj_ins: Trajectory,
     on the numerical fields; returns per-time Besov-norm residuals (index
     ``-1 + d/p``, and ``d/p`` for the scalar mass equation)."""
     S = decompose(traj_cns, traj_ins)
-    n = len(S.times)
     d = bands.grid.d
     idx_v = BesovIndex(-1.0 + d / p, p, 1.0)
     idx_a = BesovIndex(d / p, p, 1.0)
-
-    r_mass = np.empty(n)
-    r_long = np.empty(n)
-    r_sol = np.empty(n)
     mu, nu = params.mu, params.nu
-    for i in range(n):
+
+    def residuals(i):
         a, u, V, Qu, Pu = S.a[i], S.u[i], S.V[i], S.Qu[i], S.Pu[i]
         derivs = (S.V_t[i], S.Pu_t[i], S.Qu_t[i])
         h1 = assemble_H1(a, u, V, *derivs, params)
         h2 = assemble_H2(a, u, V, *derivs)
-        res1 = S.a_t[i] + divergence(Qu) + divergence(product_dealiased(a, u + V))
-        res2 = S.Qu_t[i] - laplacian(Qu) * nu + gradient(a) + compressible_project(h1)
-        res3 = S.Pu_t[i] - laplacian(Pu) * mu + leray_project(h2)
-        r_mass[i] = besov_norm(res1, idx_a, bands)
-        r_long[i] = besov_norm(res2, idx_v, bands)
-        r_sol[i] = besov_norm(res3, idx_v, bands)
-    return DecompositionResidual(S.times, r_mass, r_long, r_sol)
+        return (S.a_t[i] + divergence(Qu) + divergence(product_dealiased(a, u + V)),
+                S.Qu_t[i] - laplacian(Qu) * nu + gradient(a) + compressible_project(h1),
+                S.Pu_t[i] - laplacian(Pu) * mu + leray_project(h2))
 
-
-def _table(fields, p: float, bands: DyadicBands) -> np.ndarray:
-    """(snapshot x band) table of ``||Delta_j f||_{L^p}`` over an iterable
-    of fields, for weighting at several indices with :func:`besov_sum`."""
-    return np.array([band_lp_norms(f, p, bands) for f in fields])
+    # (time x equation x band): one time's residuals are alive at a time
+    table = np.array([band_table(residuals(i), p, bands) for i in range(len(S.times))])
+    return DecompositionResidual(S.times, besov_sum(table[:, 0], idx_a, bands),
+                                 *besov_sum(table[:, 1:], idx_v, bands).T)
 
 
 def _trapezoid_running(times, values):
@@ -314,17 +305,17 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
     def low_high(fields):
         """Tables of the low parts in ``L^2`` and of the high parts in
         ``L^p``; one snapshot's parts are alive at a time."""
-        rows = [(band_lp_norms(lo, 2.0, bands), band_lp_norms(hi, p, bands))
+        rows = [(band_table([lo], 2.0, bands), band_table([hi], p, bands))
                 for lo, hi in (split_low_high(f, nu, bands) for f in fields)]
-        return tuple(np.array(t) for t in zip(*rows))
+        return tuple(np.concatenate(t) for t in zip(*rows))
 
     # one (snapshot x band) table per series and low/high part
     a_lo, a_hi = low_high(S.a)
-    ga_lo = _table((split_low_high(gradient(a), nu, bands)[0] for a in S.a),
-                   2.0, bands)
+    ga_lo = band_table((split_low_high(gradient(a), nu, bands)[0] for a in S.a),
+                       2.0, bands)
     qu_lo, qu_hi = low_high(S.Qu)
     dmp_lo, dmp_hi = low_high(qt + gradient(a) for qt, a in zip(S.Qu_t, S.a))
-    pu, big_v = _table(S.Pu, p, bands), _table(S.V, p, bands)
+    pu, big_v = band_table(S.Pu, p, bands), band_table(S.V, p, bands)
     pu_t = np.array([besov_norm(f, vp, bands) for f in S.Pu_t])
     big_vt = np.array([besov_norm(f, vp, bands) for f in S.V_t])
 
@@ -384,13 +375,13 @@ def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, p: float,
     vp = BesovIndex(-1.0 + d / p, p, 1.0)
     vp_hi = BesovIndex(1.0 + d / p, p, 1.0)
 
-    dens = np.array([besov_norm(a, hp, bands) for a in S.a])
+    dens = besov_sum(band_table(S.a, p, bands), hp, bands)
     if dens[0] > 1e-12:
         raise SpectralError("limit_error requires a_0 = 0 in the compressible run")
 
-    pu = _table(S.Pu, p, bands)
+    pu = band_table(S.Pu, p, bands)
     sups, grads = besov_sum(pu, vp, bands), besov_sum(pu, vp_hi, bands)
-    dts = np.array([besov_norm(f, vp, bands) for f in S.Pu_t])
+    dts = besov_sum(band_table(S.Pu_t, p, bands), vp, bands)
 
     return LimitError(
         err_density=math.sqrt(nu / mu) * float(np.max(dens)),

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .calculus import advect, leray_project
+from .calculus import leray_project
 from .spectral import (
     Grid,
     SpectralField,
@@ -42,7 +42,6 @@ from .spectral import (
     _workspace,
     divergence,
     forward_transform,
-    inv_laplacian,
     l2_norm_spectral,
     lp_norm,
     product_dealiased,  # noqa: F401  (bench/tests check the tracer rebinds it here)
@@ -349,11 +348,6 @@ def step_ins(state: FlowState, mu: float, dt: float) -> FlowState:
     decay = np.exp(-mu * grid.k2 * dt)
     v = _heun(state.v.coeffs, lambda x: decay * x, lambda x: _ins_tendency(ws, x), dt)
     return replace(state, v=SpectralField(grid, v), t=state.t + dt)
-
-
-def ins_pressure(V: SpectralField) -> SpectralField:
-    """Pressure of the incompressible flow: ``(-Lap)^-1 div(V . grad V)``."""
-    return inv_laplacian(divergence(advect(V, V)))
 
 
 def step_heat(u: SpectralField, mu: float, dt: float, forcing=None) -> SpectralField:

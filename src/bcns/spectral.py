@@ -257,20 +257,6 @@ def laplacian(f: SpectralField) -> SpectralField:
     return _apply_multiplier(f, -f.grid.k2)
 
 
-def curl(v: SpectralField) -> SpectralField:
-    """Curl: scalar ``d1 v2 - d2 v1`` in 2D, the usual vector in 3D."""
-    if not v.is_vector:
-        raise SpectralError("curl expects a vector field")
-    g = v.grid
-    comp = v.components()
-    if g.d == 2:
-        return derivative(comp[1], 0) - derivative(comp[0], 1)
-    c0 = derivative(comp[2], 1) - derivative(comp[1], 2)
-    c1 = derivative(comp[0], 2) - derivative(comp[2], 0)
-    c2 = derivative(comp[1], 0) - derivative(comp[0], 1)
-    return SpectralField(g, np.stack([c0.coeffs, c1.coeffs, c2.coeffs]))
-
-
 def inv_laplacian(f: SpectralField) -> SpectralField:
     """Inverse of ``-Laplacian``: divide by ``|k|^2``, zero mode set to 0.
 

@@ -6,6 +6,7 @@ import pytest
 from bcns.bands import (
     BesovIndex,
     band_lp_norms,
+    band_table,
     besov_norm,
     besov_sum,
     build_partition,
@@ -28,6 +29,31 @@ from bcns.spectral import (
 def _rand(grid, seed):
     rng = np.random.default_rng(seed)
     return forward_transform(rng.standard_normal(grid.shape), grid)
+
+
+@pytest.mark.parametrize("d,N,ncomp", [(2, 16, 0), (2, 16, 2), (3, 8, 0),
+                                      (3, 8, 3)])
+def test_band_table_rows_equal_band_lp_norms(d, N, ncomp, monkeypatch):
+    # random half spectra, not Hermitian on the k_d = 0 and N/2 columns: the
+    # p = 2 rows must read those columns as the inverse transform does
+    g = make_grid(d, N)
+    b = build_partition(g)
+    rng = np.random.default_rng(d * N + ncomp)
+    shape = ((ncomp,) if ncomp else ()) + g.spectral_shape
+    fields = [SpectralField(g, rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape)) for _ in range(3)]
+    ps = (1.0, 2.0, 3.0, math.inf)
+    want = {p: [band_lp_norms(f, p, b) for f in fields] for p in ps}
+    got = {p: band_table(iter(fields), p, b) for p in ps}
+    for p in ps:
+        assert got[p].shape == (len(fields), len(b.j_range))
+        np.testing.assert_allclose(got[p], want[p], rtol=1e-13, atol=0)
+
+    def no_transform(*args):
+        raise AssertionError("lp_norm called")
+
+    monkeypatch.setattr("bcns.bands.lp_norm", no_transform)
+    np.testing.assert_array_equal(band_table(fields, 2.0, b), got[2.0])
 
 
 @pytest.mark.parametrize("d,N", [(2, 16), (2, 32), (2, 64), (3, 16), (3, 32)])
