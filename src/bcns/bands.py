@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, SpectralError, _leading_axes, lp_norm
+from .spectral import Grid, SpectralField, SpectralError, _mode_energy, lp_norm
 
 
 def _h(t: np.ndarray) -> np.ndarray:
@@ -136,19 +136,6 @@ def low_cutoff(f: SpectralField, j: int, bands: DyadicBands) -> SpectralField:
 def band_lp_norms(f: SpectralField, p: float, bands: DyadicBands) -> np.ndarray:
     """``||Delta_j f||_{L^p}`` for every band, ordered by j."""
     return np.array([lp_norm(dyadic_block(f, j, bands), p) for j in bands.j_range])
-
-
-def _mode_energy(f: SpectralField) -> np.ndarray:
-    """Parseval weight ``w_k |c_k|^2`` of each mode of the flat half spectrum,
-    summed over components: ``w = 2`` on the columns ``0 < k_d < N/2``; the
-    columns ``k_d = 0, N/2`` count their Hermitian part ``(c_k + conj(c_-k))
-    / 2``, as :func:`~bcns.spectral.inverse_transform` does."""
-    g, c, lead = f.grid, f.coeffs, _leading_axes(f.grid)
-    edges = c[..., [0, g.N // 2]]
-    partner = np.conj(np.roll(np.flip(edges, axis=lead), 1, axis=lead))  # c_-k
-    energy = 2.0 * (c.real**2 + c.imag**2)
-    energy[..., [0, g.N // 2]] = np.abs(0.5 * (edges + partner)) ** 2
-    return (energy.sum(axis=0) if f.is_vector else energy).ravel()
 
 
 def band_table(fields, p: float, bands: DyadicBands) -> np.ndarray:

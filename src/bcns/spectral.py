@@ -403,10 +403,19 @@ def lp_norm(f: SpectralField, p: float) -> float:
     return float(np.mean(s**p) ** (1.0 / p))
 
 
+def _mode_energy(f: SpectralField) -> np.ndarray:
+    """Parseval weight ``w_k |c_k|^2`` of each mode of the flat half spectrum,
+    summed over components: ``w = 2`` on the columns ``0 < k_d < N/2``; the
+    columns ``k_d = 0, N/2`` count their Hermitian part ``(c_k + conj(c_-k))
+    / 2``, as :func:`inverse_transform` does."""
+    g, c, lead = f.grid, f.coeffs, _leading_axes(f.grid)
+    edges = c[..., [0, g.N // 2]]
+    partner = np.conj(np.roll(np.flip(edges, axis=lead), 1, axis=lead))  # c_-k
+    energy = 2.0 * (c.real**2 + c.imag**2)
+    energy[..., [0, g.N // 2]] = np.abs(0.5 * (edges + partner)) ** 2
+    return (energy.sum(axis=0) if f.is_vector else energy).ravel()
+
+
 def l2_norm_spectral(f: SpectralField) -> float:
-    """``L^2`` norm evaluated on coefficients (Parseval route); the columns
-    ``0 < k_d < N/2`` count twice, for ``+-k``."""
-    sq = np.abs(f.coeffs) ** 2
-    nyq = f.grid.N // 2
-    return float(np.sqrt(np.sum(sq[..., 0]) + 2.0 * np.sum(sq[..., 1:nyq])
-                         + np.sum(sq[..., nyq])))
+    """``L^2`` norm evaluated on coefficients (Parseval route)."""
+    return float(np.sqrt(np.sum(_mode_energy(f))))

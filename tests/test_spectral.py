@@ -97,6 +97,12 @@ def test_parseval():
             f = forward_transform(rng.standard_normal(shape), g)
             assert np.max(np.abs(f.coeffs[..., -1])) > 1e-3
             assert lp_norm(f, 2) == pytest.approx(l2_norm_spectral(f), rel=1e-12)
+        # any half spectrum is a real field: the columns k_d = 0, -N/2 count
+        # through their Hermitian part, the part the inverse transform reads
+        for shape in (g.spectral_shape, (g.d,) + g.spectral_shape):
+            f = SpectralField(g, rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape))
+            assert lp_norm(f, 2) == pytest.approx(l2_norm_spectral(f), rel=1e-12)
 
 
 def test_derivative_eigenmodes():
