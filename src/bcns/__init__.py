@@ -26,7 +26,6 @@ from .diagnostics import (
     assemble_H1,
     assemble_H2,
     decomposition_residual,
-    effective_velocity,
     fit_rate,
     limit_error,
     norm_ledger,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -35,20 +35,10 @@ from .spectral import (
     divergence,
     forward_transform,
     gradient,
-    inv_laplacian,
     inverse_transform,
     laplacian,
     product_dealiased,
 )
-
-
-def effective_velocity(a: SpectralField, u: SpectralField, nu: float) -> SpectralField:
-    """``w = Qu + nu^-1 (-Lap)^-1 grad a`` (``a`` must be mean-free)."""
-    if nu <= 0:
-        raise SpectralError(f"effective_velocity needs nu > 0, got {nu}")
-    w = compressible_project(u)
-    corr = inv_laplacian(gradient(a))
-    return w + corr * (1.0 / nu)
 
 
 def _times_density(a: SpectralField, f: SpectralField) -> SpectralField:
@@ -107,90 +97,68 @@ def assemble_H2(a, u, V, Vt, Put, Qut) -> SpectralField:
     return sum(terms[1:], terms[0])
 
 
-def _time_derivatives(times, fields):
-    """Centered differences; second-order one-sided at the endpoints (plain
-    one-sided when only two snapshots exist), so the truncation error matches
-    the scheme order throughout."""
+def _with_time_derivatives(times, fields):
+    """Yield each field of the iterable with its time derivative: centered
+    differences; second-order one-sided at the endpoints (plain one-sided
+    when only two snapshots exist or the end spacings differ), so the
+    truncation error matches the scheme order throughout.  At most three
+    fields of the series and one derivative are alive at a time."""
     n = len(times)
     if n < 2:
         raise SpectralError("time derivatives need at least 2 snapshots")
+    fields = iter(fields)
+    prev, cur = next(fields), next(fields)
     if n == 2:
-        d = (fields[1] - fields[0]) * (1.0 / (times[1] - times[0]))
-        return [d, d]
+        d = (cur - prev) * (1.0 / (times[1] - times[0]))
+        yield prev, d
+        yield cur, d
+        return
     def uniform(i0, i1):
         h0 = times[i0 + 1] - times[i0]
         h1 = times[i1 + 1] - times[i1]
         return abs(h1 - h0) <= 1e-9 * max(abs(h0), abs(h1))
 
-    out = []
-    for i in range(n):
-        if i == 0:
-            dt = times[1] - times[0]
-            if uniform(0, 1):
-                d = (fields[0] * (-1.5) + fields[1] * 2.0
-                     + fields[2] * (-0.5)) * (1.0 / dt)
-            else:
-                d = (fields[1] - fields[0]) * (1.0 / dt)
-        elif i == n - 1:
-            dt = times[-1] - times[-2]
-            if uniform(n - 3, n - 2):
-                d = (fields[-1] * 1.5 + fields[-2] * (-2.0)
-                     + fields[-3] * 0.5) * (1.0 / dt)
-            else:
-                d = (fields[-1] - fields[-2]) * (1.0 / dt)
-        else:
-            dt = times[i + 1] - times[i - 1]
-            d = (fields[i + 1] - fields[i - 1]) * (1.0 / dt)
-        out.append(d)
-    return out
+    nxt = next(fields)
+    dt = times[1] - times[0]
+    if uniform(0, 1):
+        yield prev, (prev * (-1.5) + cur * 2.0 + nxt * (-0.5)) * (1.0 / dt)
+    else:
+        yield prev, (cur - prev) * (1.0 / dt)
+    for i in range(1, n - 1):
+        yield cur, (nxt - prev) * (1.0 / (times[i + 1] - times[i - 1]))
+        if i < n - 2:
+            prev, cur, nxt = cur, nxt, next(fields)
+    dt = times[-1] - times[-2]
+    if uniform(n - 3, n - 2):
+        yield nxt, (nxt * 1.5 + cur * (-2.0) + prev * 0.5) * (1.0 / dt)
+    else:
+        yield nxt, (nxt - cur) * (1.0 / dt)
 
 
 @dataclass
 class DecompositionSeries:
     """The decomposition of a compressible run against its incompressible
-    reference: ``a``, ``u = v - V``, ``V``, ``Qu``, ``Pu`` and the time
-    derivatives ``a_t``, ``V_t``, ``Qu_t``, ``Pu_t``, one list entry per
-    snapshot time.
-
-    Each derived list is built on first use and kept, so a consumer holds
-    only the lists it reads.
-    """
+    reference on the shared snapshot times: the states' ``a``, ``V`` and
+    ``v`` (references, not copies), and ``u = v - V``, ``Qu``, ``Pu`` as
+    generators over the snapshots, so nothing derived is kept.  Time
+    derivatives come from :func:`_with_time_derivatives` over a series."""
 
     times: np.ndarray
     a: list
     V: list
     v: list         # compressible velocity
 
-    def _differences(self):
+    @property
+    def u(self):
         return (v - V for v, V in zip(self.v, self.V))
 
-    @cached_property
-    def u(self):
-        return list(self._differences())
-
-    @cached_property
+    @property
     def Qu(self):
-        return [compressible_project(u) for u in self._differences()]
+        return map(compressible_project, self.u)
 
-    @cached_property
+    @property
     def Pu(self):
-        return [leray_project(u) for u in self._differences()]
-
-    @cached_property
-    def a_t(self):
-        return _time_derivatives(self.times, self.a)
-
-    @cached_property
-    def V_t(self):
-        return _time_derivatives(self.times, self.V)
-
-    @cached_property
-    def Qu_t(self):
-        return _time_derivatives(self.times, self.Qu)
-
-    @cached_property
-    def Pu_t(self):
-        return _time_derivatives(self.times, self.Pu)
+        return map(leray_project, self.u)
 
 
 def decompose(traj_cns: Trajectory, traj_ins: Trajectory) -> DecompositionSeries:
@@ -226,17 +194,17 @@ def decomposition_residual(traj_cns: Trajectory, traj_ins: Trajectory,
     idx_a = BesovIndex(d / p, p, 1.0)
     mu, nu = params.mu, params.nu
 
-    def residuals(i):
-        a, u, V, Qu, Pu = S.a[i], S.u[i], S.V[i], S.Qu[i], S.Pu[i]
-        derivs = (S.V_t[i], S.Pu_t[i], S.Qu_t[i])
-        h1 = assemble_H1(a, u, V, *derivs, params)
-        h2 = assemble_H2(a, u, V, *derivs)
-        return (S.a_t[i] + divergence(Qu) + divergence(product_dealiased(a, u + V)),
-                S.Qu_t[i] - laplacian(Qu) * nu + gradient(a) + compressible_project(h1),
-                S.Pu_t[i] - laplacian(Pu) * mu + leray_project(h2))
-
-    # (time x equation x band): one time's residuals are alive at a time
-    table = np.array([band_table(residuals(i), p, bands) for i in range(len(S.times))])
+    # (time x equation x band), in one pass over the snapshots
+    pairs = (_with_time_derivatives(S.times, f) for f in (S.a, S.V, S.Qu, S.Pu))
+    rows = []
+    for u, (a, a_t), (V, V_t), (Qu, Qu_t), (Pu, Pu_t) in zip(S.u, *pairs):
+        h1 = assemble_H1(a, u, V, V_t, Pu_t, Qu_t, params)
+        h2 = assemble_H2(a, u, V, V_t, Pu_t, Qu_t)
+        rows.append(band_table((
+            a_t + divergence(Qu) + divergence(product_dealiased(a, u + V)),
+            Qu_t - laplacian(Qu) * nu + gradient(a) + compressible_project(h1),
+            Pu_t - laplacian(Pu) * mu + leray_project(h2)), p, bands))
+    table = np.array(rows)
     return DecompositionResidual(S.times, besov_sum(table[:, 0], idx_a, bands),
                                  *besov_sum(table[:, 1:], idx_v, bands).T)
 
@@ -302,22 +270,24 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
 
     norm = partial(besov_sum, bands=bands)
 
-    def low_high(fields):
-        """Tables of the low parts in ``L^2`` and of the high parts in
-        ``L^p``; one snapshot's parts are alive at a time."""
-        rows = [(band_table([lo], 2.0, bands), band_table([hi], p, bands))
-                for lo, hi in (split_low_high(f, nu, bands) for f in fields)]
-        return tuple(np.concatenate(t) for t in zip(*rows))
+    def rows(a, Qu, Qu_t, Pu, Pu_t, V, V_t):
+        """One snapshot's band rows: the low parts in ``L^2``, the high parts
+        and the solenoidal series in ``L^p``; and the two time-derivative
+        norms."""
+        ga = gradient(a)
+        (a_lo, a_hi), (qu_lo, qu_hi), (dmp_lo, dmp_hi) = (
+            split_low_high(f, nu, bands) for f in (a, Qu, Qu_t + ga))
+        ga_lo = split_low_high(ga, nu, bands)[0]
+        return (band_table((a_lo, ga_lo, qu_lo, dmp_lo), 2.0, bands),
+                band_table((a_hi, qu_hi, dmp_hi, Pu, V), p, bands),
+                besov_norm(Pu_t, vp, bands), besov_norm(V_t, vp, bands))
 
-    # one (snapshot x band) table per series and low/high part
-    a_lo, a_hi = low_high(S.a)
-    ga_lo = band_table((split_low_high(gradient(a), nu, bands)[0] for a in S.a),
-                       2.0, bands)
-    qu_lo, qu_hi = low_high(S.Qu)
-    dmp_lo, dmp_hi = low_high(qt + gradient(a) for qt, a in zip(S.Qu_t, S.a))
-    pu, big_v = band_table(S.Pu, p, bands), band_table(S.V, p, bands)
-    pu_t = np.array([besov_norm(f, vp, bands) for f in S.Pu_t])
-    big_vt = np.array([besov_norm(f, vp, bands) for f in S.V_t])
+    # one pass over the snapshots: (snapshot x series x band) tables
+    pairs = (_with_time_derivatives(times, f) for f in (S.Qu, S.Pu, S.V))
+    lo, hi, pu_t, big_vt = (np.array(c) for c in zip(*(
+        rows(a, *qu, *pu, *v) for a, qu, pu, v in zip(S.a, *pairs))))
+    a_lo, ga_lo, qu_lo, dmp_lo = lo.swapaxes(0, 1)
+    a_hi, qu_hi, dmp_hi, pu, big_v = hi.swapaxes(0, 1)
 
     X = np.maximum.accumulate((norm(a_lo, low2) + nu * norm(ga_lo, low2)
                                + norm(qu_lo, low2)) + nu * norm(a_hi, hp)
@@ -335,7 +305,8 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
     M = float(np.max(v_sup)
               + _trapezoid_running(times, big_vt + mu * norm(big_v, vp_hi))[-1])
 
-    (q0_lo,), (q0_hi,) = low_high([compressible_project(traj_cns.states[0].v)])
+    q0 = split_low_high(compressible_project(traj_cns.states[0].v), nu, bands)
+    (q0_lo,), (q0_hi,) = band_table(q0[:1], 2.0, bands), band_table(q0[1:], p, bands)
     lhs = (norm(a_lo[0], low2) + nu * norm(a_lo[0], low2_mid)
            + nu * norm(a_hi[0], hp) + norm(q0_lo, low2) + norm(q0_hi, vp)
            + M**2 + mu**2)
@@ -375,13 +346,16 @@ def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, p: float,
     vp = BesovIndex(-1.0 + d / p, p, 1.0)
     vp_hi = BesovIndex(1.0 + d / p, p, 1.0)
 
-    dens = besov_sum(band_table(S.a, p, bands), hp, bands)
+    # (snapshot x series x band), one snapshot's fields at a time
+    fields = (f for a, (Pu, Pu_t) in zip(S.a, _with_time_derivatives(S.times, S.Pu))
+              for f in (a, Pu, Pu_t))
+    table = band_table(fields, p, bands).reshape(len(S.times), 3, -1)
+    dens, pu, pu_t = table.swapaxes(0, 1)
+    dens = besov_sum(dens, hp, bands)
     if dens[0] > 1e-12:
         raise SpectralError("limit_error requires a_0 = 0 in the compressible run")
-
-    pu = band_table(S.Pu, p, bands)
     sups, grads = besov_sum(pu, vp, bands), besov_sum(pu, vp_hi, bands)
-    dts = besov_sum(band_table(S.Pu_t, p, bands), vp, bands)
+    dts = besov_sum(pu_t, vp, bands)
 
     return LimitError(
         err_density=math.sqrt(nu / mu) * float(np.max(dens)),

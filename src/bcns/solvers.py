@@ -43,7 +43,6 @@ from .spectral import (
     divergence,
     forward_transform,
     l2_norm_spectral,
-    lp_norm,
     product_dealiased,  # noqa: F401  (bench/tests check the tracer rebinds it here)
 )
 
@@ -363,11 +362,6 @@ def step_heat(u: SpectralField, mu: float, dt: float, forcing=None) -> SpectralF
         f0, f1 = forcing
         out = out + 0.5 * dt * (decay * f0.coeffs + f1.coeffs)
     return SpectralField(grid, out)
-
-
-def kinetic_energy(v: SpectralField) -> float:
-    """``0.5 * mean |v|^2`` (mean-value normalization)."""
-    return 0.5 * lp_norm(v, 2) ** 2
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:

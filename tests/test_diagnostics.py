@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -7,12 +8,11 @@ import pytest
 from bcns.bands import BesovIndex, besov_norm, build_partition, split_low_high
 from bcns.calculus import compressible_project, leray_project
 from bcns.diagnostics import (
-    _time_derivatives,
     _trapezoid_running,
+    _with_time_derivatives,
     assemble_H1,
     decompose,
     decomposition_residual,
-    effective_velocity,
     fit_rate,
     h1_terms,
     h2_terms,
@@ -54,45 +54,107 @@ def _rand_scal(grid, seed):
     return dealias(forward_transform(rng.standard_normal(grid.shape), grid))
 
 
-def test_effective_velocity_reduces_to_qu():
+def _time_derivatives(times, fields):
+    """Oracle: the derivative list of a list of fields, by the same stencils
+    as :func:`_with_time_derivatives` (centered; second-order one-sided at
+    uniform ends, plain one-sided otherwise and for two snapshots)."""
+    n = len(times)
+    if n < 2:
+        raise SpectralError("time derivatives need at least 2 snapshots")
+    if n == 2:
+        d = (fields[1] - fields[0]) * (1.0 / (times[1] - times[0]))
+        return [d, d]
+    def uniform(i0, i1):
+        h0 = times[i0 + 1] - times[i0]
+        h1 = times[i1 + 1] - times[i1]
+        return abs(h1 - h0) <= 1e-9 * max(abs(h0), abs(h1))
+
+    out = []
+    for i in range(n):
+        if i == 0:
+            dt = times[1] - times[0]
+            if uniform(0, 1):
+                d = (fields[0] * (-1.5) + fields[1] * 2.0
+                     + fields[2] * (-0.5)) * (1.0 / dt)
+            else:
+                d = (fields[1] - fields[0]) * (1.0 / dt)
+        elif i == n - 1:
+            dt = times[-1] - times[-2]
+            if uniform(n - 3, n - 2):
+                d = (fields[-1] * 1.5 + fields[-2] * (-2.0)
+                     + fields[-3] * 0.5) * (1.0 / dt)
+            else:
+                d = (fields[-1] - fields[-2]) * (1.0 / dt)
+        else:
+            dt = times[i + 1] - times[i - 1]
+            d = (fields[i + 1] - fields[i - 1]) * (1.0 / dt)
+        out.append(d)
+    return out
+
+
+def _polynomial_series(times, degree):
+    """Fields ``sum_k c_k t^k`` (random ``c_k``) and their exact time
+    derivatives at ``times``."""
     g = _grid()
-    u = _rand_vec(g, 0)
-    w = effective_velocity(zeros(g), u, 3.0)
-    qu = compressible_project(u)
-    assert np.max(np.abs(w.coeffs - qu.coeffs)) <= 1e-13
+    c = [_rand_vec(g, 20 + k) for k in range(degree + 1)]
+    fields = [sum((c[k] * t**k for k in range(1, degree + 1)), c[0]) for t in times]
+    derivs = [sum((c[k] * (k * t ** (k - 1)) for k in range(2, degree + 1)), c[1])
+              for t in times]
+    return fields, derivs
 
 
-def test_effective_velocity_eigenmode():
-    g = _grid()
-    x, y = g.meshes()
-    a = forward_transform(np.cos(x) + np.zeros(g.shape), g)
-    w = effective_velocity(a, zeros(g, vector=True), 2.0)
-    want = forward_transform(
-        np.stack([-0.5 * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
-    assert np.max(np.abs(w.coeffs - want.coeffs)) <= 1e-13
+def _assert_derivatives(times, fields, want, rtol):
+    pairs = list(_with_time_derivatives(times, fields))
+    assert len(pairs) == len(times)
+    assert all(f is x for (f, _), x in zip(pairs, fields))
+    scale = max(np.max(np.abs(w.coeffs)) for w in want)
+    for i, ((_, d), w) in enumerate(zip(pairs, want)):
+        assert np.max(np.abs((d - w).coeffs)) <= rtol * scale, i
+    oracle = _time_derivatives(times, fields)
+    assert all(np.array_equal(d.coeffs, o.coeffs) for (_, d), o in zip(pairs, oracle))
 
 
-def test_effective_velocity_divfree_input():
-    g = _grid()
-    u = leray_project(_rand_vec(g, 1))
-    w = effective_velocity(zeros(g), u, 1.0)
-    assert lp_norm(w, 2) <= 1e-13
+def test_time_derivatives_exact_on_quadratics_uniform():
+    # both second-order ends and every centered interior point are exact
+    times = np.linspace(0.0, 0.6, 7)
+    fields, want = _polynomial_series(times, 2)
+    _assert_derivatives(times, fields, want, 1e-12)
 
 
-def test_effective_velocity_linear():
-    g = _grid()
-    a1, a2 = _rand_scal(g, 2) * 0.1, _rand_scal(g, 3) * 0.1
-    u1, u2 = _rand_vec(g, 4), _rand_vec(g, 5)
-    w12 = effective_velocity(a1 + a2, u1 + u2, 2.0)
-    w1 = effective_velocity(a1, u1, 2.0)
-    w2 = effective_velocity(a2, u2, 2.0)
-    assert np.max(np.abs(w12.coeffs - (w1 + w2).coeffs)) <= 1e-12
+def test_time_derivatives_one_sided_fallback_on_uneven_ends():
+    # uneven end spacings take the plain one-sided differences, exact on
+    # linear data (the three-point end stencil is not, on these times)
+    times = np.array([0.0, 0.1, 0.15, 0.3, 0.4, 0.6])
+    fields, want = _polynomial_series(times, 1)
+    _assert_derivatives(times, fields, want, 1e-12)
 
 
-def test_effective_velocity_rejects_nu():
-    g = _grid()
+def test_time_derivatives_two_snapshots():
+    times = np.array([0.0, 0.25])
+    fields, want = _polynomial_series(times, 1)
+    _assert_derivatives(times, fields, want, 1e-12)
+
+
+def test_time_derivatives_need_two_snapshots():
     with pytest.raises(SpectralError):
-        effective_velocity(zeros(g), zeros(g, vector=True), 0.0)
+        list(_with_time_derivatives(np.array([0.0]), [zeros(_grid())]))
+
+
+def test_time_derivatives_read_the_series_lazily():
+    # the pair of snapshot i is out once snapshot i + 1 (i + 2 at the
+    # start) is read: a window of three fields
+    times = np.linspace(0.0, 0.5, 6)
+    fields, _ = _polynomial_series(times, 2)
+    read = 0
+
+    def series():
+        nonlocal read
+        for f in fields:
+            read += 1
+            yield f
+
+    for i, _ in enumerate(_with_time_derivatives(times, series())):
+        assert read == min(i + 2 + (i == 0), len(times))
 
 
 def _zero_tderivs(g):
@@ -428,27 +490,28 @@ def test_decompose_series_feeds_every_consumer():
     b = build_partition(_grid())
     assert b.low_bands(params.nu) == [-1, 0, 1]
     S = decompose(traj_cns, traj_ins)
+    times = np.asarray(traj_cns.times)
+    assert all(x is st.a for x, st in zip(S.a, traj_cns.states))
+    assert all(x is st.v for x, st in zip(S.V, traj_ins.states))
 
-    # lazy: reading Pu_t builds Pu and nothing else derived
-    S.Pu_t
-    built = set(vars(S))
-    assert {"Pu", "Pu_t"} <= built and not {"u", "Qu", "Qu_t", "a_t"} & built
-
+    u, Qu, Pu = (list(series) for series in (S.u, S.Qu, S.Pu))
     for i, (c, r) in enumerate(zip(traj_cns.states, traj_ins.states)):
-        u = c.v - r.v
-        scale = np.max(np.abs(u.coeffs))
-        assert np.max(np.abs((S.Pu[i] + S.Qu[i] - S.u[i]).coeffs)) <= 1e-15 * scale
-        assert np.max(np.abs(S.Pu[i].coeffs
+        want = c.v - r.v
+        scale = np.max(np.abs(want.coeffs))
+        assert np.max(np.abs((Pu[i] + Qu[i] - u[i]).coeffs)) <= 1e-15 * scale
+        assert np.max(np.abs(Pu[i].coeffs
                              - (leray_project(c.v) - r.v).coeffs)) <= 1e-13 * scale
-        assert np.array_equal(S.u[i].coeffs, u.coeffs)
-        assert np.array_equal(S.Qu[i].coeffs, compressible_project(u).coeffs)
-        assert np.array_equal(S.Pu[i].coeffs, leray_project(u).coeffs)
-    for name, fields in (("a_t", [st.a for st in traj_cns.states]),
-                         ("V_t", [st.v for st in traj_ins.states]),
-                         ("Pu_t", S.Pu), ("Qu_t", S.Qu)):
-        want = _time_derivatives(np.asarray(traj_cns.times), fields)
-        assert all(np.array_equal(x.coeffs, y.coeffs)
-                   for x, y in zip(getattr(S, name), want)), name
+        assert np.array_equal(u[i].coeffs, want.coeffs)
+        assert np.array_equal(Qu[i].coeffs, compressible_project(want).coeffs)
+        assert np.array_equal(Pu[i].coeffs, leray_project(want).coeffs)
+    for name, series, fields in (("a_t", S.a, S.a), ("V_t", S.V, S.V),
+                                 ("Pu_t", S.Pu, Pu), ("Qu_t", S.Qu, Qu)):
+        want = _time_derivatives(times, fields)
+        assert all(np.array_equal(d.coeffs, y.coeffs) for (_, d), y
+                   in zip(_with_time_derivatives(times, series), want)), name
+
+    # streamed: once the generators are used up nothing derived is kept
+    assert set(vars(S)) == {"times", "a", "V", "v"}
 
     # p = 3 tells the low parts' L^2 tables from the high parts' L^p ones
     for p in (2.0, 3.0):
@@ -458,6 +521,35 @@ def test_decompose_series_feeds_every_consumer():
     sups = [besov_norm(leray_project(c.v) - r.v, BesovIndex(0.0, 2, 1), b)
             for c, r in zip(traj_cns.states, traj_ins.states)]
     assert err.err_sup == pytest.approx(max(sups), rel=1e-13)
+
+
+def _ledger_peak_bytes(nsnap):
+    """tracemalloc peak of one ``norm_ledger`` call on ``nsnap`` snapshots of
+    an N = 16 pair of trajectories built beforehand (nu = 0.5: low and high
+    parts both nonempty)."""
+    g = _grid()
+    b = build_partition(g)
+    params = PhysicalParams.from_nu(1.0, 0.5, 1.4)
+    a, q, V = _rand_scal(g, 30) * 0.1, _rand_vec(g, 31), leray_project(_rand_vec(g, 32))
+    times = np.linspace(0.0, 1.0, nsnap)
+    cns = Trajectory(list(times), [FlowState(a * math.sin(t), V * math.cos(t)
+                                             + q * math.sin(t), t) for t in times],
+                     [], "horizon")
+    ins = Trajectory(list(times), [FlowState(zeros(g), V * math.cos(t), t)
+                                   for t in times], [], "horizon")
+    norm_ledger(cns, ins, params, 2.0, b)     # builds the partition's caches
+    tracemalloc.start()
+    try:
+        norm_ledger(cns, ins, params, 2.0, b)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_norm_ledger_memory_does_not_grow_with_snapshots():
+    # the ledger reads one snapshot at a time: four times the snapshots
+    # may not cost half as much memory again
+    assert _ledger_peak_bytes(81) <= 1.5 * _ledger_peak_bytes(21)
 
 
 def test_ledger_with_initial_density_matches_reference():

@@ -1,6 +1,8 @@
-"""Tiny ``sweep`` and ``lemmas`` passes under the benchmark's span tracer:
-the tracer binds ``step_cns``'s arguments by name and counts the lemma
-reports, so a change of either signature breaks the traced benchmark."""
+"""Tiny ``sweep``, ``simulate`` and ``lemmas`` passes under the benchmark's
+span tracer: the tracer binds ``step_cns``'s arguments by name and counts
+the lemma reports, so a change of either signature breaks the traced
+benchmark; and the traced projections of ``simulate`` are the count the
+code implies, so a diagnostic that projects a snapshot twice fails."""
 
 import sys
 from pathlib import Path
@@ -37,3 +39,16 @@ def test_traced_lemmas_pass(tmp_path):
     rc, metrics = _traced("lemmas", "trials = 10\n", tmp_path)
     assert rc == 0
     assert metrics["lemmas.reports"] == 16
+
+
+def test_traced_simulate_projects_each_snapshot_once(tmp_path):
+    snapshots = 3
+    rc, metrics = _traced("simulate", f"N = 16\nT = 0.1\nsnapshots = {snapshots}\n",
+                          tmp_path)
+    assert rc == 0
+    # the ledger: one Qu and one Pu per snapshot, and Q v0; the
+    # incompressible run: P v0, and one projected tendency per Heun stage
+    ledger = 2 * snapshots + 1
+    ins = 1 + 2 * metrics["solvers.step_ins.calls"]
+    assert metrics["solvers.step_ins.calls"] > 0
+    assert metrics["calculus.project.calls"] == ledger + ins
