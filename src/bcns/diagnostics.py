@@ -75,14 +75,13 @@ def assemble_H1(a, u, V, Vt, Put, Qut, params: PhysicalParams) -> SpectralField:
     return t1 + t2 + t3
 
 
-def h2_terms(a, u, V, Vt, Put, Qut):
-    """The six tagged source terms of the solenoidal part."""
-    for f in (u, V, Vt, Put, Qut):
+def h2_terms(a, Pu, Qu, V, Vt, Put, Qut):
+    """The six tagged source terms of the solenoidal part, from ``u``'s
+    projections ``Pu`` and ``Qu``."""
+    for f in (Pu, Qu, V, Vt, Put, Qut):
         if f.grid != a.grid:
             raise SpectralError("h2_terms requires a shared grid")
-    Pu = leray_project(u)
-    Qu = compressible_project(u)
-    upV = u + V
+    upV = Pu + Qu + V
     t1 = product_dealiased(a, Vt + Put + Qut + gradient(a))
     t2 = _times_density(a, advect(Pu, V + Qu))
     t3 = product_dealiased(a, advect(upV, Pu))
@@ -92,8 +91,8 @@ def h2_terms(a, u, V, Vt, Put, Qut):
     return t1, t2, t3, t4, t5, t6
 
 
-def assemble_H2(a, u, V, Vt, Put, Qut) -> SpectralField:
-    terms = h2_terms(a, u, V, Vt, Put, Qut)
+def assemble_H2(a, Pu, Qu, V, Vt, Put, Qut) -> SpectralField:
+    terms = h2_terms(a, Pu, Qu, V, Vt, Put, Qut)
     return sum(terms[1:], terms[0])
 
 
@@ -199,7 +198,7 @@ def decomposition_residual(traj_cns: Trajectory, traj_ins: Trajectory,
     rows = []
     for u, (a, a_t), (V, V_t), (Qu, Qu_t), (Pu, Pu_t) in zip(S.u, *pairs):
         h1 = assemble_H1(a, u, V, V_t, Pu_t, Qu_t, params)
-        h2 = assemble_H2(a, u, V, V_t, Pu_t, Qu_t)
+        h2 = assemble_H2(a, Pu, Qu, V, V_t, Pu_t, Qu_t)
         rows.append(band_table((
             a_t + divergence(Qu) + divergence(product_dealiased(a, u + V)),
             Qu_t - laplacian(Qu) * nu + gradient(a) + compressible_project(h1),

@@ -23,13 +23,17 @@ with ``k(a) = P'(1+a) - 1``.  The first line of the velocity equation is the
 exact linear propagator: transverse modes decay by ``exp(-mu |k|^2 dt)`` and
 each longitudinal pair ``(a_k, (k.v_k)/|k|)`` evolves by the exact matrix
 exponential of ``[[0, -i|k|], [-i|k|, -nu |k|^2]]`` with ``nu = lam + 2 mu``.
+The tendency takes transport in rotational form, ``grad |v|^2/2 + Omega v``,
+equal to ``(v . grad) v`` on every mode the 2/3 rule keeps; at ``gamma = 2``
+it transforms 6 fields inverse, 1 forward and back (the truncated ``a/(1+a)``)
+and 5 forward in 2D, and 10, 1 and 7 in 3D.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -170,29 +174,27 @@ class _LinearPropagator:
     """Tables applying the exact linear flow for one time step.
 
     Instances are shared through :func:`_propagator`, so the tables are
-    read-only.
+    read-only.  With ``T`` the transverse decay, ``v`` becomes
+    ``T v + khat (e12 a + (e22 - T) v_long)``.
     """
 
     def __init__(self, grid: Grid, mu: float, nu: float, dt: float):
-        ws = _workspace(grid)
         self.grid = grid
-        self.khat = ws.khat
+        self.khat = np.stack(_workspace(grid).khat)
         self.transverse = np.exp(-mu * grid.k2 * dt)
-        self.e11, self.e12, _, self.e22 = acoustic_propagator(grid.k2, nu, dt)
-        for table in (self.transverse, self.e11, self.e12, self.e22):
+        self.e11, self.e12, _, e22 = acoustic_propagator(grid.k2, nu, dt)
+        self.e22_minus_t = e22 - self.transverse
+        for table in (self.khat, self.transverse, self.e11, self.e12, self.e22_minus_t):
             table.setflags(write=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """The stack ``x = [a, v_1, ..., v_d]`` one step later, a new stack."""
-        khat = self.khat
         a, v = x[0], x[1:]
-        vlong = sum(khat[ax] * v[ax] for ax in range(self.grid.d))
-        out = np.empty((self.grid.d + 1,) + a.shape, dtype=np.complex128)
+        vlong = reduce(np.add, self.khat * v)
+        out = np.empty_like(x)
         np.add(self.e11 * a, self.e12 * vlong, out=out[0])
-        vlong_new = self.e12 * a + self.e22 * vlong
-        for ax in range(self.grid.d):
-            np.add(self.transverse * (v[ax] - khat[ax] * vlong), khat[ax] * vlong_new,
-                   out=out[1 + ax])
+        np.multiply(self.transverse, v, out=out[1:])
+        out[1:] += self.khat * (self.e12 * a + self.e22_minus_t * vlong)
         return out
 
 
@@ -204,50 +206,65 @@ def _propagator(grid: Grid, mu: float, nu: float, dt: float) -> _LinearPropagato
     return _LinearPropagator(grid, mu, nu, dt)
 
 
+@lru_cache(maxsize=2)
+def _multipliers(grid: Grid, mu: float, lam: float) -> tuple:
+    """The tendency's stacked multipliers ``ik``, ``-mu |k|^2`` and
+    ``(mu + lam) ik``, read-only, cached on ``(grid, mu, lam)``."""
+    ik = np.stack(np.broadcast_arrays(*_workspace(grid).ik))
+    tables = ik, -mu * grid.k2, (mu + lam) * ik
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Dealiased nonlinear remainder ``[N_a, N_v1, ..., N_vd]`` of the
     nonconservative system, a new stack, from the stack ``x = [a, v_1, ..., v_d]``.
 
-    One physical-space evaluation: the dealiased ``a``, ``v``, ``grad v``
-    and viscous term (and ``grad a`` when ``gamma != 2``) go to physical
-    space in one batched inverse, the coefficients ``a/(1+a)`` (and the
-    pressure-law coefficient) are 2/3-truncated before they multiply, and
-    the ``2d`` products come back in one batched forward transform.
+    One physical-space evaluation: the dealiased ``a``, ``v``, ``Omega_ij =
+    d_j v_i - d_i v_j`` (``i < j``) and viscous term (and ``grad a`` when
+    ``gamma != 2``) go to physical space in one batched inverse, the
+    coefficients ``a/(1+a)`` (and the pressure-law coefficient) are
+    2/3-truncated before they multiply, and ``a v``, ``|v|^2/2`` and ``Omega v``
+    plus the coefficient terms come back in one batched forward transform;
+    ``grad |v|^2/2`` is taken on the coefficients.
     """
     grid = ws.grid
     d = grid.d
-    mask, ik, k2 = grid.dealias_mask, ws.ik, grid.k2
+    ik, minus_mu_k2, mu_lam_ik = _multipliers(grid, params.mu, params.lam)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    r = 1 + d + len(pairs)  # first viscous row
     pressure = params.gamma != 2.0
-    f = ws.buffer("cns", (1 + 2 * d + d * d + (d if pressure else 0),)
-                  + grid.spectral_shape)
-    ah, vh = np.multiply(x[0], mask, out=f[0]), np.multiply(x[1:], mask, out=f[1:1 + d])
-    divv = sum(ik[j] * vh[j] for j in range(d))
-    for i in range(d):
-        for j in range(d):
-            np.multiply(ik[j], vh[i], out=f[1 + d + d * i + j])
-        np.add(-params.mu * k2 * vh[i], (params.mu + params.lam) * ik[i] * divv,
-               out=f[1 + d + d * d + i])
-        if pressure:
-            np.multiply(ik[i], ah, out=f[1 + 2 * d + d * d + i])
+    f = ws.buffer("cns", (r + d + (d if pressure else 0),) + grid.spectral_shape)
+    vh = np.multiply(x, grid.dealias_mask, out=f[:1 + d])[1:]
+    for row, (i, j) in enumerate(pairs, start=1 + d):
+        np.subtract(ik[j] * vh[i], ik[i] * vh[j], out=f[row])
+    np.multiply(minus_mu_k2, vh, out=f[r:r + d])
+    f[r:r + d] += mu_lam_ik * reduce(np.add, ik * vh)
+    if pressure:
+        np.multiply(ik, f[0], out=f[r + d:])
     s = ws.inverse(f, reuse=True)
-    a_s, v_s = s[0], s[1:1 + d]
-    grad_v = s[1 + d:1 + d + d * d].reshape((d, d) + grid.shape)  # [i, j] = d_j v_i
-    visc, grad_a = s[1 + d + d * d:1 + 2 * d + d * d], s[1 + 2 * d + d * d:]
+    a_s, v_s, visc, grad_a = s[0], s[1:1 + d], s[r:r + d], s[r + d:]
 
-    dens = 1.0 + a_s
-    coeffs = [a_s / dens]
-    if pressure:
-        coeffs.append((pressure_law(a_s, params.gamma) - a_s) / dens)
-    coeffs = ws.inverse(ws.forward(np.stack(coeffs), reuse=True), reuse=True)
+    coeffs = (np.stack([a_s, pressure_law(a_s, params.gamma) - a_s]) if pressure
+              else a_s[None]) / (1.0 + a_s)
+    coeffs = ws.inverse(ws.forward(coeffs, reuse=True), reuse=True)
 
-    out = ws.buffer("cns_products", (2 * d,) + grid.shape, np.float64)
+    # [a v, |v|^2/2, w], w = Omega v + (a/(1+a)) visc (+ pressure term)
+    out = ws.buffer("cns_products", (2 * d + 1,) + grid.shape, np.float64)
     np.multiply(a_s, v_s, out=out[:d])
-    out[d:] = -np.sum(v_s[None] * grad_v, axis=1) - coeffs[0] * visc
+    np.multiply(reduce(np.add, v_s * v_s), 0.5, out=out[d])
+    w = np.multiply(coeffs[0], visc, out=out[d + 1:])
     if pressure:
-        out[d:] -= coeffs[1] * grad_a
+        w += coeffs[1] * grad_a
+    for row, (i, j) in enumerate(pairs, start=1 + d):
+        w[i] += s[row] * v_s[j]
+        w[j] -= s[row] * v_s[i]
     oh = ws.forward(out, reuse=True)
-    na = -sum(ik[j] * oh[j] for j in range(d))
-    return np.concatenate([na[None], oh[d:]])
+    n = np.empty_like(x)
+    np.negative(reduce(np.add, ik * oh[:d]), out=n[0])
+    np.negative(ik * oh[d] + oh[d + 1:], out=n[1:])
+    return n
 
 
 _FIELD_MAX = 1e8  # largest speed a state may reach before the run ends
@@ -266,15 +283,16 @@ def _check_state(state: FlowState, config: StepperConfig,
         raise BlowupError(t, "non-finite field values")
     ratio = 0.0
     if system == "cns":
-        a_s = samples[0]
-        amax = float(np.max(np.abs(a_s)))
+        lo, hi = float(samples[0].min()), float(samples[0].max())
+        amax = max(-lo, hi)
         if amax > config.a_inf_max:
             raise BlowupError(t, f"density deviation {amax:.3e} > {config.a_inf_max}")
-        if float(1.0 + np.min(a_s)) <= config.vacuum_floor:
-            raise BlowupError(t, f"density {1.0 + np.min(a_s):.3e} at vacuum guard")
-        ratio = float(np.max(np.abs(a_s / (1.0 + a_s))))
+        if 1.0 + lo <= config.vacuum_floor:
+            raise BlowupError(t, f"density {1.0 + lo:.3e} at vacuum guard")
+        # a/(1+a) increases with a above the vacuum guard
+        ratio = max(abs(lo / (1.0 + lo)), abs(hi / (1.0 + hi)))
     v_s = samples[1:] if system == "cns" else samples
-    speed = float(np.max(np.sqrt(np.sum(v_s * v_s, axis=0))))
+    speed = math.sqrt(float(reduce(np.add, v_s * v_s).max()))
     if speed > _FIELD_MAX:
         raise BlowupError(t, "velocity magnitude overflow")
     return speed, ratio
@@ -287,7 +305,10 @@ def _heun(x: np.ndarray, propagate, tendency, dt: float) -> np.ndarray:
     half spectra to a new one."""
     u = propagate(x)
     p1 = propagate(tendency(x))
-    return u + 0.5 * dt * (p1 + tendency(u + dt * p1))
+    n2 = tendency(u + dt * p1)  # a new stack, so the stages combine in place
+    n2 += p1
+    n2 *= 0.5 * dt
+    return np.add(u, n2, out=n2)
 
 
 def step_cns(state: FlowState, params: PhysicalParams, dt: float,

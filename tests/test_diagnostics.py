@@ -5,6 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import bcns.diagnostics
 from bcns.bands import BesovIndex, besov_norm, build_partition, split_low_high
 from bcns.calculus import compressible_project, leray_project
 from bcns.diagnostics import (
@@ -202,7 +203,7 @@ def test_h2_term_kill_audit():
         np.stack([np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
     V = taylor_green(g)
     Vt, Put, Qut = (_rand_vec(g, 14), zeros(g, vector=True), _rand_vec(g, 15))
-    terms = h2_terms(zeros(g), u, V, Vt, Put, Qut)
+    terms = h2_terms(zeros(g), leray_project(u), compressible_project(u), V, Vt, Put, Qut)
     for i in (0, 1, 2, 3, 5):
         assert lp_norm(terms[i], 2) <= 1e-13, f"term {i+1} should vanish"
     assert lp_norm(terms[4], 2) > 1e-3  # advection coupling V with Qu survives
@@ -212,7 +213,7 @@ def test_h2_all_zero():
     g = _grid()
     Vt, Put, Qut = _zero_tderivs(g)
     terms = h2_terms(zeros(g), zeros(g, vector=True), zeros(g, vector=True),
-                     Vt, Put, Qut)
+                     zeros(g, vector=True), Vt, Put, Qut)
     assert all(lp_norm(t, 2) == 0.0 for t in terms)
 
 
@@ -275,6 +276,20 @@ def test_decomposition_residual_converges_second_order():
     c = np.max(r_coarse.longitudinal[2:-2])
     f = np.max(r_fine.longitudinal[2:-2])
     assert 2.5 <= c / f <= 6.0
+
+
+def test_decomposition_residual_projects_each_snapshot_four_times(monkeypatch):
+    # Qu and Pu once each from the series, then Q H1 and P H2: the H2 terms
+    # reuse the series' Pu and Qu
+    traj_cns, traj_ins, params = _paired_runs(16, 0.08, 0.004)
+    calls = []
+    for name in ("leray_project", "compressible_project"):
+        fn = getattr(bcns.diagnostics, name)
+        monkeypatch.setattr(bcns.diagnostics, name,
+                            lambda v, fn=fn: calls.append(fn) or fn(v))
+    decomposition_residual(traj_cns, traj_ins, params, build_partition(_grid()))
+    assert len(traj_cns.times) == 21
+    assert len(calls) == 4 * 21
 
 
 def test_norm_ledger_zero_trajectories():

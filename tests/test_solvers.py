@@ -39,6 +39,7 @@ from bcns.solvers import (
 from bcns.spectral import (
     SpectralError,
     SpectralField,
+    _Workspace,
     _workspace,
     dealias,
     divergence,
@@ -533,6 +534,26 @@ def test_cns_tendency_matches_product_chain(d, N, gamma):
     assert _rel_diff(n[1:], want_v) <= 1e-13
 
 
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("gamma", [1.4, 2.0])
+def test_cns_tendency_transforms_the_rotational_form_fields(d, N, gamma):
+    # [a, v, Omega_ij for i < j, visc] (+ grad a) go in, the middle pair
+    # truncates the coefficients, [a v, |v|^2/2, Omega v + coeff terms] come back
+    a, v = _random_state(d, N)
+    ws = _Workspace(a.grid)
+    rows = {"inverse": [], "forward": []}
+    for name, rec in rows.items():
+        def counted(stack, reuse=False, fn=getattr(ws, name), rec=rec):
+            rec.append(len(stack))
+            return fn(stack, reuse)
+        setattr(ws, name, counted)
+    _cns_tendency(ws, np.concatenate([a.coeffs[None], v.coeffs]),
+                  PhysicalParams(mu=0.7, lam=1.3, gamma=gamma))
+    ncoeff, grad_a = (1, 0) if gamma == 2.0 else (2, d)
+    assert rows["inverse"] == [{2: 6, 3: 10}[d] + grad_a, ncoeff]
+    assert rows["forward"] == [ncoeff, {2: 5, 3: 7}[d]]
+
+
 @pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
 def test_ins_tendency_matches_projected_advection(d, N):
     _, v = _random_state(d, N)
@@ -680,6 +701,19 @@ def test_guard_samples_equal_the_complex_inverse_for_any_coefficients(d, N):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+def test_guard_bounds_equal_the_pointwise_maxima(d, N):
+    # oracle: the time-step bounds written out on the samples
+    a, v = _random_state(d, N)
+    for scale in (0.5, -2.0):
+        st = FlowState(a * scale, v, 0.0)
+        a_s, v_s = inverse_transform(st.a), inverse_transform(st.v)
+        speed, ratio = bcns.solvers._check_state(st, StepperConfig(a_inf_max=1.0))
+        assert speed == pytest.approx(np.max(np.sqrt(np.sum(v_s * v_s, axis=0))), rel=1e-14)
+        assert ratio == pytest.approx(np.max(np.abs(a_s / (1.0 + a_s))), rel=1e-14)
+    assert bcns.solvers._check_state(st, StepperConfig(), "ins") == (speed, 0.0)
+
+
 def test_cached_propagator_steps_bit_identical_to_fresh_build():
     a, v = _random_state(2, 32)
     st = FlowState(a * 0.5, v * 0.3, 0.0)
@@ -703,10 +737,31 @@ def test_propagator_cache_never_returns_a_stale_table():
         want = _LinearPropagator(*key)
         assert got.grid == key[0]
         assert got.e11.shape == (key[0].N, key[0].N // 2 + 1)  # half lattice
-        for name in ("transverse", "e11", "e12", "e22"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), (key, name)
-        with pytest.raises(ValueError):
-            got.e11[(0,) * key[0].d] = 0.0  # shared tables are read-only
+        tables = {name: t for name, t in vars(got).items() if isinstance(t, np.ndarray)}
+        assert {"transverse", "e11", "e12"} <= set(tables)
+        assert set(tables) == {name for name, t in vars(want).items()
+                               if isinstance(t, np.ndarray)}
+        for name, table in tables.items():
+            assert np.array_equal(table, getattr(want, name)), (key, name)
+            with pytest.raises(ValueError):
+                table[(0,) * table.ndim] = 0.0  # shared tables are read-only
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+def test_propagator_is_the_acoustic_pair_plus_transverse_decay(d, N):
+    # oracle: the 2x2 flow on (a, khat . v) and exp(-mu |k|^2 dt) on the
+    # transverse part v - khat (khat . v), recombined per mode
+    g = make_grid(d, N)
+    mu, nu, dt = 0.7, 2.7, 3e-2
+    a, v = _random_state(d, N)
+    khat = _workspace(g).khat
+    e11, e12, e21, e22 = acoustic_propagator(g.k2, nu, dt)
+    vlong = sum(khat[i] * v.coeffs[i] for i in range(d))
+    want = np.stack([e11 * a.coeffs + e12 * vlong]
+                    + [np.exp(-mu * g.k2 * dt) * (v.coeffs[i] - khat[i] * vlong)
+                       + khat[i] * (e21 * a.coeffs + e22 * vlong) for i in range(d)])
+    got = _LinearPropagator(g, mu, nu, dt)(np.concatenate([a.coeffs[None], v.coeffs]))
+    assert _rel_diff(got, want) <= 1e-14
 
 
 def test_run_guards_the_state_of_its_last_step(monkeypatch):

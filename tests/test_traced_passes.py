@@ -33,6 +33,8 @@ def test_traced_sweep_pass(tmp_path):
                           "nu_list = 1, 10, 100\n", tmp_path)
     assert rc == 0
     assert metrics["solvers.step_cns.calls"] > 0
+    # the tracer counts builds by the public name the propagator builds through
+    assert metrics["solvers.propagator_builds"] > 0
 
 
 def test_traced_lemmas_pass(tmp_path):
