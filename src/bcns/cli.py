@@ -30,6 +30,7 @@ from .diagnostics import (
 from .io import SnapshotError, read_snapshot, write_snapshot
 from .lemmas import oscillatory_data, random_field
 from .solvers import (
+    BlowupError,
     FlowState,
     PhysicalParams,
     StepperConfig,
@@ -48,10 +49,6 @@ from .spectral import (
 
 class ConfigError(ValueError):
     pass
-
-
-class BlowupError(Exception):
-    """The incompressible reference of a sweep blew up."""
 
 
 @dataclass
@@ -136,12 +133,6 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 
 
 def _validate(cfg: RunConfig, path: str) -> None:
-    if cfg.d not in (2, 3):
-        raise ConfigError(f"{path}: key 'd' must be 2 or 3, got {cfg.d}")
-    if cfg.N % 2 or cfg.N < 8:
-        raise ConfigError(f"{path}: key 'N' must be even and >= 8, got {cfg.N}")
-    if not 0 < cfg.cfl < 1:
-        raise ConfigError(f"{path}: key 'cfl' must lie in (0,1), got {cfg.cfl}")
     if any(b <= a for a, b in zip(cfg.nu_list, cfg.nu_list[1:])) or not all(
             0 < nu < math.inf for nu in cfg.nu_list):
         raise ConfigError(f"{path}: key 'nu_list' must rise strictly, finite and > 0")
@@ -170,7 +161,7 @@ def _validate(cfg: RunConfig, path: str) -> None:
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{path}: key '{key}' must be finite")
     try:
-        cfg.params(), cfg.stepper()
+        make_grid(cfg.d, cfg.N), cfg.params(), cfg.stepper()
     except SpectralError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -304,10 +295,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def sweep_once(cfg: RunConfig):
-    """One full viscosity sweep; returns (SweepResult, bands).  Viscosities
-    that cannot carry the rate fit raise :class:`FitError` before any run,
-    a reference blow-up :class:`BlowupError` before any member runs."""
+def sweep_once(cfg: RunConfig) -> SweepResult:
+    """One full viscosity sweep.  Viscosities that cannot carry the rate fit
+    raise :class:`FitError` before any run, a reference blow-up
+    :class:`BlowupError` (its time and event) before any member runs."""
     if cfg.a0_file:
         raise ConfigError("sweep enforces a0 = 0; remove 'a0_file'")
     check_viscosities(cfg.nu_list)
@@ -320,8 +311,7 @@ def sweep_once(cfg: RunConfig):
     traj_ins = run(FlowState(zeros(grid), V0, 0.0), params0, stepcfg, cfg.T,
                    system="ins", snap_times=snap_times)
     if traj_ins.terminated == "blowup":
-        raise BlowupError("incompressible reference terminated by blow-up "
-                          f"({traj_ins.events[-2][1]}); no member run")
+        raise BlowupError(*traj_ins.events[-2])
     nus, errors, excluded = [], [], []
     for nu in cfg.nu_list:
         params = cfg.params(nu)
@@ -338,18 +328,19 @@ def sweep_once(cfg: RunConfig):
         nus.append(nu)
         errors.append(err)
     slope, resid = fit_rate(nus, [e.err_sup for e in errors])
-    return SweepResult(nus, errors, slope, resid, excluded), bands
+    return SweepResult(nus, errors, slope, resid, excluded)
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     outdir = _output_dir(cfg)
     try:
-        result, _ = sweep_once(cfg)
+        result = sweep_once(cfg)
     except FitError as exc:
         print(f"sweep: fit failure: {exc}", file=sys.stderr)
         return 4
     except BlowupError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
+        print(f"sweep: incompressible reference terminated by blow-up at "
+              f"t={exc.t:.6g} ({exc.reason}); no member run", file=sys.stderr)
         return 3
     with open(outdir / "sweep.csv", "w") as fh:
         fh.write("nu,err_density,err_sup,err_grad_l1,err_dt_l1\n")

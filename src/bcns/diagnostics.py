@@ -324,9 +324,6 @@ class LimitError:
     err_grad_l1: float
     err_dt_l1: float
 
-    def as_tuple(self):
-        return (self.err_density, self.err_sup, self.err_grad_l1, self.err_dt_l1)
-
 
 def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, p: float,
                 bands: DyadicBands, mu: float, nu: float) -> LimitError:

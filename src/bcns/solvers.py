@@ -23,10 +23,12 @@ with ``k(a) = P'(1+a) - 1``.  The first line of the velocity equation is the
 exact linear propagator: transverse modes decay by ``exp(-mu |k|^2 dt)`` and
 each longitudinal pair ``(a_k, (k.v_k)/|k|)`` evolves by the exact matrix
 exponential of ``[[0, -i|k|], [-i|k|, -nu |k|^2]]`` with ``nu = lam + 2 mu``.
-The tendency takes transport in rotational form, ``grad |v|^2/2 + Omega v``,
-equal to ``(v . grad) v`` on every mode the 2/3 rule keeps; at ``gamma = 2``
-it transforms 6 fields inverse, 1 forward and back (the truncated ``a/(1+a)``)
-and 5 forward in 2D, and 10, 1 and 7 in 3D.
+Both tendencies take transport in rotational form, ``grad |v|^2/2 + Omega v``
+(``(v . grad) v`` on every mode the 2/3 rule keeps), through one kernel on the
+workspace's stacked ``ik``.  At ``gamma = 2`` the compressible one transforms
+6 fields inverse, 1 forward and back (the truncated ``a/(1+a)``) and 5 forward
+in 2D, and 10, 1 and 7 in 3D.  The incompressible one (its projection removes
+``grad |V|^2/2``) transforms 3 inverse and 2 forward in 2D, and 6 and 3 in 3D.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -180,11 +183,11 @@ class _LinearPropagator:
 
     def __init__(self, grid: Grid, mu: float, nu: float, dt: float):
         self.grid = grid
-        self.khat = np.stack(_workspace(grid).khat)
+        self.khat = _workspace(grid).khat
         self.transverse = np.exp(-mu * grid.k2 * dt)
         self.e11, self.e12, _, e22 = acoustic_propagator(grid.k2, nu, dt)
         self.e22_minus_t = e22 - self.transverse
-        for table in (self.khat, self.transverse, self.e11, self.e12, self.e22_minus_t):
+        for table in (self.transverse, self.e11, self.e12, self.e22_minus_t):
             table.setflags(write=False)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -208,13 +211,24 @@ def _propagator(grid: Grid, mu: float, nu: float, dt: float) -> _LinearPropagato
 
 @lru_cache(maxsize=2)
 def _multipliers(grid: Grid, mu: float, lam: float) -> tuple:
-    """The tendency's stacked multipliers ``ik``, ``-mu |k|^2`` and
-    ``(mu + lam) ik``, read-only, cached on ``(grid, mu, lam)``."""
-    ik = np.stack(np.broadcast_arrays(*_workspace(grid).ik))
-    tables = ik, -mu * grid.k2, (mu + lam) * ik
+    """Viscous multipliers ``-mu |k|^2``, ``(mu + lam) ik``, read-only, cached."""
+    tables = -mu * grid.k2, (mu + lam) * _workspace(grid).ik
     for table in tables:
         table.setflags(write=False)
     return tables
+
+
+def _omega_rows(ik: np.ndarray, vh: np.ndarray, out: np.ndarray) -> None:
+    """Rows ``Omega_ij = d_j v_i - d_i v_j``, ``i < j`` in combinations order."""
+    for row, (i, j) in zip(out, combinations(range(len(vh)), 2)):
+        np.subtract(ik[j] * vh[i], ik[i] * vh[j], out=row)
+
+
+def _add_omega_v(w: np.ndarray, omega: np.ndarray, v: np.ndarray) -> None:
+    """``w += Omega v`` on samples, ``omega`` the rows of :func:`_omega_rows`."""
+    for o, (i, j) in zip(omega, combinations(range(len(v)), 2)):
+        w[i] += o * v[j]
+        w[j] -= o * v[i]
 
 
 def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams) -> np.ndarray:
@@ -231,14 +245,12 @@ def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams) -> np.n
     """
     grid = ws.grid
     d = grid.d
-    ik, minus_mu_k2, mu_lam_ik = _multipliers(grid, params.mu, params.lam)
-    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    r = 1 + d + len(pairs)  # first viscous row
+    ik, (minus_mu_k2, mu_lam_ik) = ws.ik, _multipliers(grid, params.mu, params.lam)
+    r = 1 + d + d * (d - 1) // 2  # first viscous row
     pressure = params.gamma != 2.0
     f = ws.buffer("cns", (r + d + (d if pressure else 0),) + grid.spectral_shape)
     vh = np.multiply(x, grid.dealias_mask, out=f[:1 + d])[1:]
-    for row, (i, j) in enumerate(pairs, start=1 + d):
-        np.subtract(ik[j] * vh[i], ik[i] * vh[j], out=f[row])
+    _omega_rows(ik, vh, f[1 + d:r])
     np.multiply(minus_mu_k2, vh, out=f[r:r + d])
     f[r:r + d] += mu_lam_ik * reduce(np.add, ik * vh)
     if pressure:
@@ -257,9 +269,7 @@ def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams) -> np.n
     w = np.multiply(coeffs[0], visc, out=out[d + 1:])
     if pressure:
         w += coeffs[1] * grad_a
-    for row, (i, j) in enumerate(pairs, start=1 + d):
-        w[i] += s[row] * v_s[j]
-        w[j] -= s[row] * v_s[i]
+    _add_omega_v(w, s[1 + d:r], v_s)
     oh = ws.forward(out, reuse=True)
     n = np.empty_like(x)
     np.negative(reduce(np.add, ik * oh[:d]), out=n[0])
@@ -335,19 +345,18 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
 
 
 def _ins_tendency(ws: _Workspace, v: np.ndarray) -> np.ndarray:
-    """Projected transport term ``-P((V . grad) V)``, a new stack, from ``V``:
-    one batched inverse of the dealiased ``[V, grad V]``, one
-    forward transform of the product."""
+    """Projected transport ``-P((V . grad) V) = -P(Omega V)``, a new stack,
+    from ``V`` (``P`` removes ``grad |V|^2/2`` on the kept modes): one batched
+    inverse of the dealiased ``[V, Omega_ij]``, one forward of ``Omega V``."""
     grid = ws.grid
     d = grid.d
-    vh = v * grid.dealias_mask
-    s = ws.inverse(np.stack([*vh] + [ws.ik[j] * vh[i] for i in range(d)
-                                     for j in range(d)],
-                            out=ws.buffer("ins", (d + d * d,) + grid.spectral_shape)),
-                   reuse=True)
-    grad_v = s[d:].reshape((d, d) + grid.shape)  # [i, j] = d_j V_i
-    adv_h = ws.forward(np.sum(s[None, :d] * grad_v, axis=1), reuse=True)
-    return leray_project(SpectralField(grid, -adv_h)).coeffs
+    f = ws.buffer("ins", (d + d * (d - 1) // 2,) + grid.spectral_shape)
+    vh = np.multiply(v, grid.dealias_mask, out=f[:d])
+    _omega_rows(ws.ik, vh, f[d:])
+    s = ws.inverse(f, reuse=True)
+    w = np.zeros((d,) + grid.shape)
+    _add_omega_v(w, s[d:], s[:d])
+    return leray_project(SpectralField(grid, -ws.forward(w, reuse=True))).coeffs
 
 
 def step_ins(state: FlowState, mu: float, dt: float) -> FlowState:

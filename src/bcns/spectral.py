@@ -286,16 +286,18 @@ def dealias(f: SpectralField) -> SpectralField:
 
 
 class _Workspace:
-    """Multipliers, dealias-pruned transforms (``m`` of the ``N/2 + 1``
-    columns have ``k_d < N/3``) and reused buffers of a grid; a transform
-    fills a new array, or with ``reuse`` the workspace's buffer for its shape."""
+    """Stacked read-only multipliers ``ik`` and ``khat = k/max(|k|, 1)``,
+    dealias-pruned transforms (``m`` of the ``N/2 + 1`` columns have ``k_d <
+    N/3``) and reused buffers of a grid; a transform fills a new array, or
+    with ``reuse`` the workspace's buffer for its shape."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.m = int(np.count_nonzero(np.arange(grid.N // 2 + 1) < grid.N / 3.0))
         self.k2max = float(np.max(grid.k2[grid.dealias_mask]))
-        self.ik = [1j * kj for kj in grid.k]
-        self.khat = [kj / np.maximum(grid.kmag, 1.0) for kj in grid.k]
+        self.ik = np.stack(np.broadcast_arrays(*(1j * kj for kj in grid.k)))
+        self.khat = np.stack([kj / np.maximum(grid.kmag, 1.0) for kj in grid.k])
+        self.ik.flags.writeable = self.khat.flags.writeable = False
         self._axes = tuple(range(-grid.d, 0))
         self._buffers = {}
 

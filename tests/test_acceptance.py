@@ -76,9 +76,7 @@ def _report(num, name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def sweep_result():
-    cfg = parse_config(ACCEPT_SWEEP_CONFIG)
-    result, _ = sweep_once(cfg)
-    return result
+    return sweep_once(parse_config(ACCEPT_SWEEP_CONFIG))
 
 
 # Sup-block slope window.  The paper bounds the limit error by nu^(-1/2)

@@ -18,6 +18,7 @@ from bcns.cli import (
     load_config,
     main,
     parse_config,
+    sweep_once,
 )
 from bcns.io import write_snapshot
 from bcns.lemmas import (
@@ -72,6 +73,8 @@ def test_parse_config_validation_errors():
         parse_config("lemmas = bogus\n")
     with pytest.raises(ConfigError):
         parse_config("cfl = 0\n")
+    with pytest.raises(ConfigError):
+        parse_config("d = 4\n")
 
 
 def test_main_config_error_exit_code(tmp_path):
@@ -165,6 +168,15 @@ def test_sweep_reference_blowup_exits_3_before_any_member(tmp_path, capsys,
     assert systems == ["ins"]
     assert "incompressible reference terminated by blow-up" in capsys.readouterr().err
     assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+def test_sweep_once_raises_the_package_blowup_error_on_a_reference_blowup():
+    cfg = parse_config("N = 16\nT = 0.1\nsnapshots = 3\namp = 1e9\n"
+                       "nu_list = 4, 16, 64, 256\n")
+    with pytest.raises(bcns.BlowupError) as err:
+        sweep_once(cfg)
+    assert err.value.reason.startswith("blowup:")
+    assert 0.0 <= err.value.t < 0.1
 
 
 def test_sweep_csv_schema_and_determinism(tmp_path):

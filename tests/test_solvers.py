@@ -534,24 +534,53 @@ def test_cns_tendency_matches_product_chain(d, N, gamma):
     assert _rel_diff(n[1:], want_v) <= 1e-13
 
 
-@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
-@pytest.mark.parametrize("gamma", [1.4, 2.0])
-def test_cns_tendency_transforms_the_rotational_form_fields(d, N, gamma):
-    # [a, v, Omega_ij for i < j, visc] (+ grad a) go in, the middle pair
-    # truncates the coefficients, [a v, |v|^2/2, Omega v + coeff terms] come back
-    a, v = _random_state(d, N)
-    ws = _Workspace(a.grid)
+def _counting_workspace(grid):
+    # a workspace whose transforms record the number of rows they get
+    ws = _Workspace(grid)
     rows = {"inverse": [], "forward": []}
     for name, rec in rows.items():
         def counted(stack, reuse=False, fn=getattr(ws, name), rec=rec):
             rec.append(len(stack))
             return fn(stack, reuse)
         setattr(ws, name, counted)
+    return ws, rows
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("gamma", [1.4, 2.0])
+def test_cns_tendency_transforms_the_rotational_form_fields(d, N, gamma):
+    # [a, v, Omega_ij for i < j, visc] (+ grad a) go in, the middle pair
+    # truncates the coefficients, [a v, |v|^2/2, Omega v + coeff terms] come back
+    a, v = _random_state(d, N)
+    ws, rows = _counting_workspace(a.grid)
     _cns_tendency(ws, np.concatenate([a.coeffs[None], v.coeffs]),
                   PhysicalParams(mu=0.7, lam=1.3, gamma=gamma))
     ncoeff, grad_a = (1, 0) if gamma == 2.0 else (2, d)
     assert rows["inverse"] == [{2: 6, 3: 10}[d] + grad_a, ncoeff]
     assert rows["forward"] == [ncoeff, {2: 5, 3: 7}[d]]
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+def test_ins_tendency_transforms_the_rotational_form_fields(d, N):
+    # [V, Omega_ij for i < j] go in, Omega V comes back: the projection
+    # removes grad |V|^2/2, so neither it nor grad V is transformed
+    _, v = _random_state(d, N)
+    ws, rows = _counting_workspace(v.grid)
+    _ins_tendency(ws, leray_project(v).coeffs)
+    assert rows == {"inverse": [{2: 3, 3: 6}[d]], "forward": [d]}
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+def test_workspace_multipliers_are_stacked_read_only_tables(d, N):
+    g = make_grid(d, N)
+    ws = _Workspace(g)
+    kmag = np.maximum(g.kmag, 1.0)
+    for table, want in [(ws.ik, [1j * ki + 0 * g.k2 for ki in g.k]),
+                        (ws.khat, [ki / kmag for ki in g.k])]:
+        assert table.shape == (d,) + g.spectral_shape
+        assert np.array_equal(table, np.stack(want))
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1.0
 
 
 @pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
