@@ -19,7 +19,7 @@ Each Bony and transport sum (``paraproduct``, ``remainder``, ``advect``, and
 ``commutator_transport`` for ``u . grad v`` and every band together) is one
 physical-space evaluation by ``spectral._product_sums``: each distinct
 dealiased factor is inverted once and all the sums come back in one forward
-transform, through the dealias-pruned transforms that ``spectral`` owns.
+transform, through the kept-block transforms that ``spectral`` owns.
 """
 
 from __future__ import annotations

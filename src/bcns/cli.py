@@ -425,7 +425,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SpectralError as exc:
+    except (SpectralError, MemoryError) as exc:  # MemoryError: absurd sizes
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

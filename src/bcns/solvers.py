@@ -7,8 +7,9 @@ step is limited by advection (and by the variable-coefficient viscous
 remainder of the compressible system), never by acoustics or by the
 dominant viscosity.  Both flow steppers step through one integrating-factor
 Heun core, :func:`_heun`, over their own linear-flow tables and tendencies;
-another exponential integrator replaces that one function.  The flow steps
-use per-grid scratch buffers that no result aliases.
+another exponential integrator replaces that one function.  Their nonlinear
+stages run on the kept block (the modes the 2/3 rule keeps) and use per-grid
+scratch buffers that no result aliases.
 
 Compressible system, nonconservative form (momentum equation divided by the
 density ``1 + a``, pressure normalized so ``P'(1) = 1``):
@@ -174,7 +175,8 @@ def acoustic_propagator(k2: np.ndarray, nu: float, dt: float):
 
 
 class _LinearPropagator:
-    """Tables applying the exact linear flow for one time step.
+    """Tables applying the exact linear flow for one time step: ``full`` on the
+    half spectrum and ``kept``, gathered from them, on the kept block.
 
     Instances are shared through :func:`_propagator`, so the tables are
     read-only.  With ``T`` the transverse decay, ``v`` becomes
@@ -182,22 +184,26 @@ class _LinearPropagator:
     """
 
     def __init__(self, grid: Grid, mu: float, nu: float, dt: float):
+        ws = _workspace(grid)
         self.grid = grid
-        self.khat = _workspace(grid).khat
         self.transverse = np.exp(-mu * grid.k2 * dt)
         self.e11, self.e12, _, e22 = acoustic_propagator(grid.k2, nu, dt)
         self.e22_minus_t = e22 - self.transverse
-        for table in (self.transverse, self.e11, self.e12, self.e22_minus_t):
+        full = (self.transverse, self.e11, self.e12, self.e22_minus_t)
+        self.kept = (ws.khat_kept,) + tuple(map(ws.gather, full))
+        self.full = (ws.khat,) + full
+        for table in full + self.kept[1:]:
             table.setflags(write=False)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """The stack ``x = [a, v_1, ..., v_d]`` one step later, a new stack."""
+    def __call__(self, x: np.ndarray, kept: bool = False) -> np.ndarray:
+        """``x = [a, v_1, ..., v_d]``, half spectra or kept blocks, one step later (new)."""
+        khat, transverse, e11, e12, e22_minus_t = self.kept if kept else self.full
         a, v = x[0], x[1:]
-        vlong = reduce(np.add, self.khat * v)
+        vlong = reduce(np.add, khat * v)
         out = np.empty_like(x)
-        np.add(self.e11 * a, self.e12 * vlong, out=out[0])
-        np.multiply(self.transverse, v, out=out[1:])
-        out[1:] += self.khat * (self.e12 * a + self.e22_minus_t * vlong)
+        np.add(e11 * a, e12 * vlong, out=out[0])
+        np.multiply(transverse, v, out=out[1:])
+        out[1:] += khat * (e12 * a + e22_minus_t * vlong)
         return out
 
 
@@ -211,8 +217,8 @@ def _propagator(grid: Grid, mu: float, nu: float, dt: float) -> _LinearPropagato
 
 @lru_cache(maxsize=2)
 def _multipliers(grid: Grid, mu: float, lam: float) -> tuple:
-    """Viscous multipliers ``-mu |k|^2``, ``(mu + lam) ik``, read-only, cached."""
-    tables = -mu * grid.k2, (mu + lam) * _workspace(grid).ik
+    """Kept-block viscous multipliers ``-mu |k|^2``, ``(mu + lam) ik``, read-only, cached."""
+    tables = -mu * _workspace(grid).k2_kept, (mu + lam) * _workspace(grid).ik_kept
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -233,9 +239,9 @@ def _add_omega_v(w: np.ndarray, omega: np.ndarray, v: np.ndarray) -> None:
 
 def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams) -> np.ndarray:
     """Dealiased nonlinear remainder ``[N_a, N_v1, ..., N_vd]`` of the
-    nonconservative system, a new stack, from the stack ``x = [a, v_1, ..., v_d]``.
+    nonconservative system from ``x = [a, v_1, ..., v_d]``, kept blocks.
 
-    One physical-space evaluation: the dealiased ``a``, ``v``, ``Omega_ij =
+    One physical-space evaluation: ``a``, ``v``, ``Omega_ij =
     d_j v_i - d_i v_j`` (``i < j``) and viscous term (and ``grad a`` when
     ``gamma != 2``) go to physical space in one batched inverse, the
     coefficients ``a/(1+a)`` (and the pressure-law coefficient) are
@@ -245,11 +251,12 @@ def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams) -> np.n
     """
     grid = ws.grid
     d = grid.d
-    ik, (minus_mu_k2, mu_lam_ik) = ws.ik, _multipliers(grid, params.mu, params.lam)
+    ik, (minus_mu_k2, mu_lam_ik) = ws.ik_kept, _multipliers(grid, params.mu, params.lam)
     r = 1 + d + d * (d - 1) // 2  # first viscous row
     pressure = params.gamma != 2.0
-    f = ws.buffer("cns", (r + d + (d if pressure else 0),) + grid.spectral_shape)
-    vh = np.multiply(x, grid.dealias_mask, out=f[:1 + d])[1:]
+    f = np.empty((r + d + (d if pressure else 0),) + ws.kept_shape, np.complex128)
+    f[:1 + d] = x
+    vh = f[1:1 + d]
     _omega_rows(ik, vh, f[1 + d:r])
     np.multiply(minus_mu_k2, vh, out=f[r:r + d])
     f[r:r + d] += mu_lam_ik * reduce(np.add, ik * vh)
@@ -308,17 +315,17 @@ def _check_state(state: FlowState, config: StepperConfig,
     return speed, ratio
 
 
-def _heun(x: np.ndarray, propagate, tendency, dt: float) -> np.ndarray:
+def _heun(ws: _Workspace, x: np.ndarray, propagate, tendency, dt: float) -> np.ndarray:
     """One integrating-factor Heun step ``u + dt/2 (p1 + N(u + dt p1))`` with
-    ``u = P x`` and ``p1 = P N(x)``, ``P`` the exact linear flow over ``dt``
-    (``propagate``) and ``N`` the nonlinear tendency; both map a stack of
-    half spectra to a new one."""
+    ``u = P x`` and ``p1 = P N(x)``, ``P`` (``propagate(y, kept)``) the exact
+    linear flow over ``dt`` of half spectra or kept blocks, ``N`` the nonlinear
+    tendency of kept blocks, zero outside them; both return new stacks."""
     u = propagate(x)
-    p1 = propagate(tendency(x))
-    n2 = tendency(u + dt * p1)  # a new stack, so the stages combine in place
+    p1 = propagate(tendency(ws.gather(x)), kept=True)
+    n2 = tendency(ws.gather(u) + dt * p1)  # a new stack, so the stages combine in place
     n2 += p1
     n2 *= 0.5 * dt
-    return np.add(u, n2, out=n2)
+    return ws.scatter(np.add(ws.gather(u), n2, out=n2), out=u)
 
 
 def step_cns(state: FlowState, params: PhysicalParams, dt: float,
@@ -337,7 +344,7 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
     if not checked:
         _check_state(state, config)
     ws = _workspace(grid)
-    u = _heun(np.concatenate([state.a.coeffs[None], state.v.coeffs]),
+    u = _heun(ws, np.concatenate([state.a.coeffs[None], state.v.coeffs]),
               _propagator(grid, params.mu, params.nu, dt),
               lambda x: _cns_tendency(ws, x, params), dt)
     return FlowState(SpectralField(grid, u[0]), SpectralField(grid, u[1:]),
@@ -345,37 +352,41 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
 
 
 def _ins_tendency(ws: _Workspace, v: np.ndarray) -> np.ndarray:
-    """Projected transport ``-P((V . grad) V) = -P(Omega V)``, a new stack,
-    from ``V`` (``P`` removes ``grad |V|^2/2`` on the kept modes): one batched
-    inverse of the dealiased ``[V, Omega_ij]``, one forward of ``Omega V``."""
+    """Projected transport ``-P((V . grad) V) = -P(Omega V)`` from ``V``, kept
+    blocks (``P`` removes ``grad |V|^2/2`` on them): one batched inverse of
+    ``[V, Omega_ij]``, one forward of ``Omega V``, projected as half spectra."""
     grid = ws.grid
     d = grid.d
-    f = ws.buffer("ins", (d + d * (d - 1) // 2,) + grid.spectral_shape)
-    vh = np.multiply(v, grid.dealias_mask, out=f[:d])
-    _omega_rows(ws.ik, vh, f[d:])
+    f = np.empty((d + d * (d - 1) // 2,) + ws.kept_shape, np.complex128)
+    f[:d] = v
+    _omega_rows(ws.ik_kept, f[:d], f[d:])
     s = ws.inverse(f, reuse=True)
     w = np.zeros((d,) + grid.shape)
     _add_omega_v(w, s[d:], s[:d])
-    return leray_project(SpectralField(grid, -ws.forward(w, reuse=True))).coeffs
+    return ws.gather(leray_project(SpectralField(grid, ws.scatter(
+        -ws.forward(w, reuse=True)))).coeffs)
 
 
 def step_ins(state: FlowState, mu: float, dt: float) -> FlowState:
     """One Heun step of the incompressible system with exact viscous decay.
 
-    The input velocity must be divergence-free; the output remains so
-    because both the integrating factor and the projected nonlinearity
-    preserve the constraint.  A non-finite velocity raises
-    :class:`BlowupError`.
+    The input velocity must be divergence-free off the Nyquist planes (where
+    ``divergence`` drops a component the Leray projection keeps); the output
+    remains so because the integrating factor and the projected nonlinearity
+    preserve the constraint.  A non-finite velocity raises :class:`BlowupError`.
     """
     grid = state.v.grid
     if not np.all(np.isfinite(state.v.coeffs)):
         raise BlowupError(state.t, "non-finite field values")
-    div_norm = l2_norm_spectral(divergence(state.v))
+    off_nyquist = reduce(np.logical_and, [kj != -grid.N // 2 for kj in grid.k])
+    div_norm = l2_norm_spectral(divergence(state.v) * off_nyquist)
     if div_norm > 1e-12 * max(l2_norm_spectral(state.v), 1e-300):
         raise SpectralError(f"step_ins needs div V = 0 (got {div_norm:.3e})")
     ws = _workspace(grid)
     decay = np.exp(-mu * grid.k2 * dt)
-    v = _heun(state.v.coeffs, lambda x: decay * x, lambda x: _ins_tendency(ws, x), dt)
+    decay_kept = ws.gather(decay)
+    v = _heun(ws, state.v.coeffs, lambda x, kept=False: (decay_kept if kept else decay) * x,
+              lambda x: _ins_tendency(ws, x), dt)
     return replace(state, v=SpectralField(grid, v), t=state.t + dt)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -286,19 +287,28 @@ def dealias(f: SpectralField) -> SpectralField:
 
 
 class _Workspace:
-    """Stacked read-only multipliers ``ik`` and ``khat = k/max(|k|, 1)``,
-    dealias-pruned transforms (``m`` of the ``N/2 + 1`` columns have ``k_d <
-    N/3``) and reused buffers of a grid; a transform fills a new array, or
-    with ``reuse`` the workspace's buffer for its shape."""
+    """A grid's kept block, the modes the 2/3 rule keeps packed in FFT order
+    (rows ``0..m-1, -(m-1)..-1`` of each leading axis, the first ``m`` columns):
+    its gather and scatter, the read-only multipliers ``ik_kept``, ``khat_kept``,
+    ``k2_kept`` on it and ``khat = k/max(|k|, 1)``, transforms between kept
+    blocks and samples, and buffers that a transform reuses with ``reuse``."""
 
     def __init__(self, grid: Grid):
-        self.grid = grid
-        self.m = int(np.count_nonzero(np.arange(grid.N // 2 + 1) < grid.N / 3.0))
+        self.grid, N, d = grid, grid.N, grid.d
+        self.m = m = int(np.count_nonzero(np.arange(N // 2 + 1) < N / 3.0))
+        self.kept_shape = (2 * m - 1,) * (d - 1) + (m,)
+        rows = [(slice(0, m), slice(0, m)), (slice(N - m + 1, N), slice(m, None))]
+        self._blocks = [[(...,) + r + (slice(0, m),) for r in zip(*pick)]
+                        for pick in product(rows, repeat=d - 1)]  # [full, kept]
+        self._outside = [(..., slice(m, N - m + 1)) + (slice(None),) * (d - 1 - ax)
+                         for ax in range(d - 1)]  # the rest of a padded inverse
         self.k2max = float(np.max(grid.k2[grid.dealias_mask]))
-        self.ik = np.stack(np.broadcast_arrays(*(1j * kj for kj in grid.k)))
         self.khat = np.stack([kj / np.maximum(grid.kmag, 1.0) for kj in grid.k])
-        self.ik.flags.writeable = self.khat.flags.writeable = False
-        self._axes = tuple(range(-grid.d, 0))
+        self.ik_kept = self.gather(np.stack(np.broadcast_arrays(*(1j * kj for kj in grid.k))))
+        self.khat_kept, self.k2_kept = self.gather(self.khat), self.gather(grid.k2)
+        for table in (self.khat, self.ik_kept, self.khat_kept, self.k2_kept):
+            table.flags.writeable = False
+        self._axes = tuple(range(-d, 0))
         self._buffers = {}
 
     def buffer(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
@@ -308,28 +318,45 @@ class _Workspace:
             self._buffers[key] = np.zeros(shape, dtype=dtype)
         return self._buffers[key]
 
+    def gather(self, full: np.ndarray) -> np.ndarray:
+        """The kept blocks of half spectra, a new array."""
+        out = np.empty(full.shape[:-self.grid.d] + self.kept_shape, full.dtype)
+        for f, k in self._blocks:
+            out[k] = full[f]
+        return out
+
+    def scatter(self, kept: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Kept blocks written into the half spectra ``out``, by default zeros."""
+        if out is None:
+            out = np.zeros(kept.shape[:-self.grid.d] + self.grid.spectral_shape, kept.dtype)
+        for f, k in self._blocks:
+            out[f] = kept[k]
+        return out
+
     def inverse(self, stack: np.ndarray, reuse: bool = False) -> np.ndarray:
-        """Samples of dealiased half spectra (bitwise ``irfftn``); overwrites
-        the ``m`` kept columns of ``stack``, the rest must be 0."""
-        kept = stack[..., : self.m]
+        """Samples of kept blocks (bitwise ``irfftn`` of their expansion): the
+        leading inverse transforms run on the ``m`` kept columns, padded."""
+        lead, g = stack.shape[:-self.grid.d], self.grid
+        shape = lead + (g.N,) * (g.d - 1) + (self.m,)
+        pad = np.empty(shape, np.complex128)
+        for rows in self._outside:  # with the kept block, they cover the pad
+            pad[rows] = 0.0
+        self.scatter(stack, out=pad)
         for ax in self._axes[:-1]:  # the order of irfftn
-            np.fft.ifft(kept, axis=ax, norm="forward", out=kept)
-        shape = stack.shape[:-self.grid.d] + self.grid.shape
-        return np.fft.irfft(stack, n=self.grid.N, axis=-1, norm="forward",
-                            out=self.buffer("inverse", shape, np.float64)
+            np.fft.ifft(pad, axis=ax, norm="forward", out=pad)
+        return np.fft.irfft(pad, n=g.N, axis=-1, norm="forward",
+                            out=self.buffer("inverse", lead + g.shape, np.float64)
                             if reuse else None)
 
     def forward(self, samples: np.ndarray, reuse: bool = False) -> np.ndarray:
-        """Dealiased half spectra (bitwise ``rfftn`` times the mask)."""
+        """Kept blocks of samples, a new array (bitwise those of ``rfftn``)."""
         shape = samples.shape[:-self.grid.d] + self.grid.spectral_shape
-        out = np.fft.rfft(samples, axis=-1, norm="forward",
-                          out=self.buffer("forward", shape) if reuse else None)
-        kept = out[..., : self.m]
+        half = np.fft.rfft(samples, axis=-1, norm="forward",
+                           out=self.buffer("forward", shape) if reuse else None)
+        kept = half[..., : self.m]
         for ax in reversed(self._axes[:-1]):  # the order of rfftn
             np.fft.fft(kept, axis=ax, norm="forward", out=kept)
-        np.multiply(kept, self.grid.dealias_mask[..., : self.m], out=kept)
-        out[..., self.m:] = 0.0
-        return out
+        return self.gather(half)
 
     def samples(self, stack: np.ndarray) -> np.ndarray:
         """Samples of undealiased half spectra (``irfftn``) into a buffer."""
@@ -347,21 +374,22 @@ def _product_sums(sums: list) -> list:
     An entry is a list of terms; a term ``(f1, g1, f2, g2, ...)`` stands for
     ``f1 g1 + f2 g2 + ...``, added up before it joins the sum.  Factors
     multiply as in :func:`product_dealiased`.  Each distinct factor object
-    is 2/3-truncated and inverted once, in one batched pruned inverse (one
-    that truncates to zero drops its products); the sums are formed in
-    physical space and come back in one batched forward transform.
+    is gathered to its kept block and inverted once, in one batched inverse
+    (one whose block is zero drops its products); the sums are formed in
+    physical space and come back in one batched forward transform, expanded
+    from their kept blocks.
     """
     factors = {id(x): x for terms in sums for term in terms for x in term}
     grid = next(iter(factors.values())).grid
     if any(x.grid != grid for x in factors.values()):
         raise SpectralError("dealiased products require a shared grid")
     ws, d = _workspace(grid), grid.d
-    masked = {key: (x.coeffs * grid.dealias_mask).reshape((-1,) + grid.spectral_shape)
-              for key, x in factors.items()}
-    live = [key for key, c in masked.items() if c.any()]
-    empty = np.empty((0,) + grid.spectral_shape, np.complex128)  # all factors zero
-    s = ws.inverse(np.concatenate([empty] + [masked[key] for key in live]))
-    parts = np.split(s, np.cumsum([len(masked[key]) for key in live])[:-1])
+    kept = {key: ws.gather(x.coeffs.reshape((-1,) + grid.spectral_shape))
+            for key, x in factors.items()}
+    live = [key for key, c in kept.items() if c.any()]
+    empty = np.empty((0,) + ws.kept_shape, np.complex128)  # all factors zero
+    s = ws.inverse(np.concatenate([empty] + [kept[key] for key in live]))
+    parts = np.split(s, np.cumsum([len(kept[key]) for key in live])[:-1])
     samples = {key: part.reshape(factors[key].coeffs.shape[:-d] + grid.shape)
                for key, part in zip(live, parts)}
     totals = []
@@ -375,7 +403,8 @@ def _product_sums(sums: list) -> list:
                 total += sum(prods[1:], prods[0])
         totals.append(total)
     rows = [t.reshape((-1,) + grid.shape) for t in totals]
-    parts = np.split(ws.forward(np.concatenate(rows)), np.cumsum(list(map(len, rows)))[:-1])
+    parts = np.split(ws.scatter(ws.forward(np.concatenate(rows))),
+                     np.cumsum(list(map(len, rows)))[:-1])
     return [SpectralField(grid, c.reshape(t.shape[:-d] + grid.spectral_shape))
             for t, c in zip(totals, parts)]
 

@@ -126,6 +126,29 @@ def test_simulate_cns_only_with_all_snapshots(tmp_path):
     assert t_last == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("N, eps", [(16, 0.25), (16, 0.5), (8, 0.5)])
+def test_oscillatory_data_with_nyquist_content_simulates(tmp_path, capsys, N, eps):
+    # the Leray projection leaves ~1e-12 of divergence on the Nyquist planes,
+    # which the incompressible step's precondition does not measure
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text(f"N = {N}\nT = 0.05\ninitial = oscillatory:{eps}\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+    rc = main(["simulate", "--config", str(cfgfile)])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "out" / "ledger.csv").exists()
+
+
+@pytest.mark.parametrize("text", ["N = 4194304\n", "N = 16\nsnapshots = 100000000000\n"])
+def test_absurd_sizes_exit_2_with_a_message(tmp_path, capsys, text):
+    # numpy refuses the allocation at once: exit 2, no traceback
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text(text + "T = 0.05\n")
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("tag", ["cns", "ins"])
 def test_simulate_blowup_exit_code(tmp_path, capsys, tag):
     # the density leaves the guards in the compressible run; the velocity

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -326,8 +327,8 @@ def _written_out_step_ins(state, mu, dt):
     decay = np.exp(-mu * g.k2 * dt)
     v = state.v.coeffs
     pv = decay * v
-    k1 = _ins_tendency(ws, v)
-    k2 = _ins_tendency(ws, pv + dt * decay * k1)
+    k1 = ws.scatter(_ins_tendency(ws, ws.gather(v)))
+    k2 = ws.scatter(_ins_tendency(ws, ws.gather(pv + dt * decay * k1)))
     return pv + 0.5 * dt * (decay * k1 + k2)
 
 
@@ -527,8 +528,9 @@ def _half(c):
 def test_cns_tendency_matches_product_chain(d, N, gamma):
     a, v = _random_state(d, N)
     params = PhysicalParams(mu=0.7, lam=1.3, gamma=gamma)
-    n = _cns_tendency(_workspace(a.grid), np.concatenate([a.coeffs[None], v.coeffs]),
-                      params)
+    ws = _workspace(a.grid)
+    n = ws.scatter(_cns_tendency(ws, ws.gather(np.concatenate([a.coeffs[None], v.coeffs])),
+                                 params))
     want_a, want_v = _product_chain_cns_tendency(a, v, params)
     assert _rel_diff(n[0], want_a) <= 1e-13
     assert _rel_diff(n[1:], want_v) <= 1e-13
@@ -553,7 +555,7 @@ def test_cns_tendency_transforms_the_rotational_form_fields(d, N, gamma):
     # truncates the coefficients, [a v, |v|^2/2, Omega v + coeff terms] come back
     a, v = _random_state(d, N)
     ws, rows = _counting_workspace(a.grid)
-    _cns_tendency(ws, np.concatenate([a.coeffs[None], v.coeffs]),
+    _cns_tendency(ws, ws.gather(np.concatenate([a.coeffs[None], v.coeffs])),
                   PhysicalParams(mu=0.7, lam=1.3, gamma=gamma))
     ncoeff, grad_a = (1, 0) if gamma == 2.0 else (2, d)
     assert rows["inverse"] == [{2: 6, 3: 10}[d] + grad_a, ncoeff]
@@ -566,19 +568,28 @@ def test_ins_tendency_transforms_the_rotational_form_fields(d, N):
     # removes grad |V|^2/2, so neither it nor grad V is transformed
     _, v = _random_state(d, N)
     ws, rows = _counting_workspace(v.grid)
-    _ins_tendency(ws, leray_project(v).coeffs)
+    _ins_tendency(ws, ws.gather(leray_project(v).coeffs))
     assert rows == {"inverse": [{2: 3, 3: 6}[d]], "forward": [d]}
 
 
 @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
 def test_workspace_multipliers_are_stacked_read_only_tables(d, N):
+    # khat on the half spectrum (the linear flow), ik, khat and |k|^2 on the
+    # kept block: the rows |k_i| < N/3 of each leading axis, the first m columns
     g = make_grid(d, N)
     ws = _Workspace(g)
     kmag = np.maximum(g.kmag, 1.0)
-    for table, want in [(ws.ik, [1j * ki + 0 * g.k2 for ki in g.k]),
-                        (ws.khat, [ki / kmag for ki in g.k])]:
-        assert table.shape == (d,) + g.spectral_shape
-        assert np.array_equal(table, np.stack(want))
+    m = math.ceil(N / 3)
+    rows = np.r_[0:m, N - m + 1:N]
+    box = np.ix_(*[rows] * (d - 1), np.arange(m))
+    assert ws.kept_shape == (2 * m - 1,) * (d - 1) + (m,)
+    khat = np.stack([ki / kmag for ki in g.k])
+    for table, want in [(ws.khat, khat),
+                        (ws.ik_kept, np.stack([(1j * ki + 0 * g.k2)[box] for ki in g.k])),
+                        (ws.khat_kept, np.stack([c[box] for c in khat])),
+                        (ws.k2_kept, g.k2[box])]:
+        assert table.shape == want.shape
+        assert np.array_equal(table, want)
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 1.0
 
@@ -588,7 +599,8 @@ def test_ins_tendency_matches_projected_advection(d, N):
     _, v = _random_state(d, N)
     V = leray_project(v)
     want = leray_project(-advect(V, V)).coeffs
-    got = _ins_tendency(_workspace(V.grid), V.coeffs)
+    ws = _workspace(V.grid)
+    got = ws.scatter(_ins_tendency(ws, ws.gather(V.coeffs)))
     assert _rel_diff(got, want) <= 1e-13
 
 
@@ -675,18 +687,35 @@ def _dealiased_stack(g, nf, rng):
 
 @pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
 def test_workspace_transforms_are_bitwise_the_real_transforms(d, N):
+    # the inverse of kept blocks is irfftn of their expansion, the forward
+    # transform the kept block of rfftn; each reuse shape goes twice, so no
+    # call may depend on what the last one left in the workspace
     g = make_grid(d, N)
     ws = _workspace(g)
     axes = tuple(range(-d, 0))
     rng = np.random.default_rng(3)
-    for nf, reuse in [(1, False), (1, True), (2 * d + d * d + 1, False),
-                      (2 * d + d * d + 1, True)]:
+    for nf, reuse in [(1, False), (1, True), (1, True), (2 * d + d * d + 1, False),
+                      (2 * d + d * d + 1, True), (2 * d + d * d + 1, True)]:
         stack = _dealiased_stack(g, nf, rng)
-        want = np.fft.irfftn(stack, s=g.shape, axes=axes, norm="forward")
-        assert np.array_equal(ws.inverse(stack.copy(), reuse), want)
+        kept = ws.gather(stack)
+        want = np.fft.irfftn(ws.scatter(kept), s=g.shape, axes=axes, norm="forward")
+        assert np.array_equal(ws.inverse(kept, reuse), want)
         samples = rng.standard_normal((nf,) + g.shape)
-        want = np.fft.rfftn(samples, axes=axes, norm="forward") * g.dealias_mask
+        want = ws.gather(np.fft.rfftn(samples, axes=axes, norm="forward"))
         assert np.array_equal(ws.forward(samples, reuse), want)
+
+
+@pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
+def test_workspace_gather_then_scatter_is_the_dealias_mask(d, N):
+    g = make_grid(d, N)
+    ws = _workspace(g)
+    rng = np.random.default_rng(4)
+    x = (rng.standard_normal((d + 1,) + g.spectral_shape)
+         + 1j * rng.standard_normal((d + 1,) + g.spectral_shape))
+    assert np.array_equal(ws.scatter(ws.gather(x)), x * g.dealias_mask)
+    y = rng.standard_normal(x.shape) + 0j
+    assert np.array_equal(ws.scatter(ws.gather(x), out=y.copy()),
+                          np.where(g.dealias_mask, x, y))
 
 
 @pytest.mark.parametrize("d,N", [(2, 32), (3, 16)])
@@ -699,9 +728,9 @@ def test_results_never_alias_the_workspace(d, N):
 
     def results(scale):
         # the flow steps, then the product path, which shares the workspace
-        return [_cns_tendency(ws, np.concatenate([a.coeffs[None] * scale, v.coeffs]),
-                              params),
-                _ins_tendency(ws, V.coeffs * scale),
+        return [_cns_tendency(ws, ws.gather(np.concatenate([a.coeffs[None] * scale,
+                                                             v.coeffs])), params),
+                _ins_tendency(ws, ws.gather(V.coeffs * scale)),
                 *vars(step_cns(FlowState(a * scale, v, 0.0), params, 1e-3)).values(),
                 step_ins(FlowState(a, V * scale, 0.0), 0.7, 1e-3).v,
                 product_dealiased(a * scale, v), paraproduct(a * scale, v, b),
@@ -754,6 +783,23 @@ def test_cached_propagator_steps_bit_identical_to_fresh_build():
     assert _propagator.cache_info().hits == hits + 1
     assert np.array_equal(fresh.a.coeffs, cached.a.coeffs)
     assert np.array_equal(fresh.v.coeffs, cached.v.coeffs)
+
+
+def test_propagator_tables_are_freed_with_it():
+    # 200 builds with distinct dt: the cache holds two, and the kept-block
+    # tables must go with the propagator that built them
+    g = make_grid(2, 64)
+    prop = _propagator(g, 1.0, 4.0, 1.0)
+    one = sum(t.nbytes for t in prop.full[1:] + prop.kept[1:])  # khat is the workspace's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for i in range(200):
+            _propagator(g, 1.0, 4.0, 1e-3 * (1 + i))
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert grown <= 4 * one, (grown, one)
 
 
 def test_propagator_cache_never_returns_a_stale_table():
