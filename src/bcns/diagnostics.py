@@ -292,7 +292,7 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
                                + norm(qu_lo, low2)) + nu * norm(a_hi, hp)
                               + norm(qu_hi, vp))
     Y = _trapezoid_running(times, nu * norm(a_lo, low2_hi)
-                           + nu**2 * norm(ga_lo, low2_hi)
+                           + nu * (nu * norm(ga_lo, low2_hi))
                            + nu * norm(qu_lo, low2_hi) + norm(a_hi, hp)
                            + nu * norm(qu_hi, vp_hi) + norm(dmp_lo, low2)
                            + norm(dmp_hi, vp))

@@ -7,9 +7,10 @@ step is limited by advection (and by the variable-coefficient viscous
 remainder of the compressible system), never by acoustics or by the
 dominant viscosity.  Both flow steppers step through one integrating-factor
 Heun core, :func:`_heun`, over their own linear-flow tables and tendencies;
-another exponential integrator replaces that one function.  Their nonlinear
-stages run on the kept block (the modes the 2/3 rule keeps) and use per-grid
-scratch buffers that no result aliases.
+another exponential integrator replaces that one function.  It is a Galerkin
+scheme on the kept block (the modes the 2/3 rule keeps): a step gathers its
+input there once, works there with per-grid scratch buffers that no result
+aliases, and scatters its result once.
 
 Compressible system, nonconservative form (momentum equation divided by the
 density ``1 + a``, pressure normalized so ``P'(1) = 1``):
@@ -148,35 +149,35 @@ def acoustic_propagator(k2: np.ndarray, nu: float, dt: float):
     """Exact exponential of ``dt * [[0, -i|k|], [-i|k|, -nu |k|^2]]`` per mode.
 
     Returns the entry arrays ``(E11, E12, E21, E22)``, ``E21`` being ``E12``;
-    the eigenvalues are ``lam_pm = (-nu k^2 +- sqrt(nu^2 k^4 - 4 k^2)) / 2``.
-    Both have nonpositive real part, so everything is assembled from
-    ``exp(lam_pm dt)`` directly and stays finite for arbitrarily stiff
-    modes.
+    the eigenvalues are ``lam_pm = -h +- delta``, ``h = nu |k|^2 / 2``.  Both
+    have nonpositive real part, so everything is assembled from
+    ``exp(lam_pm dt)`` directly and stays finite for arbitrarily stiff modes,
+    with ``delta = sqrt(h - |k|) sqrt(h + |k|)`` (no ``nu^2`` to overflow) and
+    ``lam_+ = |k|^2 / lam_-`` (no cancellation in ``delta - h``).
     """
     k2c = np.asarray(k2, dtype=np.complex128)
     kmag = np.sqrt(k2c)
-    m = -0.5 * nu * k2c
-    delta = np.sqrt(0.25 * nu**2 * k2c**2 - k2c)
-    ep = np.exp((m + delta) * dt)
-    em = np.exp((m - delta) * dt)
+    h = 0.5 * nu * k2c
+    delta = np.sqrt(h - kmag) * np.sqrt(h + kmag)
+    ep = np.exp(-k2c / np.where(k2c == 0, 1.0, h + delta) * dt)
+    em = np.exp(-(h + delta) * dt)
     cosh_term = 0.5 * (ep + em)
-    # sinh(delta dt)/delta * exp(m dt), with the series of sinh(z)/z for
+    # sinh(delta dt)/delta * exp(-h dt), with the series of sinh(z)/z for
     # nearly equal eigenvalues
     z = delta * dt
     small = np.abs(z) < 1e-4
     s_term = np.empty_like(k2c)
     s_term[~small] = (ep[~small] - em[~small]) / (2.0 * delta[~small])
     zs = z[small]
-    s_term[small] = dt * np.exp(m[small] * dt) * (1.0 + zs**2 / 6.0 + zs**4 / 120.0)
-    e11 = cosh_term + s_term * (0.5 * nu * k2c)
+    s_term[small] = dt * np.exp(-h[small] * dt) * (1.0 + zs**2 / 6.0 + zs**4 / 120.0)
+    e11 = cosh_term + s_term * h
     e12 = s_term * (-1j * kmag)
-    e22 = cosh_term - s_term * (0.5 * nu * k2c)
+    e22 = cosh_term - s_term * h
     return e11, e12, e12, e22
 
 
 class _LinearPropagator:
-    """Tables applying the exact linear flow for one time step: ``full`` on the
-    half spectrum and ``kept``, gathered from them, on the kept block.
+    """Tables applying the exact linear flow for one time step to kept blocks.
 
     Instances are shared through :func:`_propagator`, so the tables are
     read-only.  With ``T`` the transverse decay, ``v`` becomes
@@ -185,25 +186,21 @@ class _LinearPropagator:
 
     def __init__(self, grid: Grid, mu: float, nu: float, dt: float):
         ws = _workspace(grid)
-        self.grid = grid
-        self.transverse = np.exp(-mu * grid.k2 * dt)
-        self.e11, self.e12, _, e22 = acoustic_propagator(grid.k2, nu, dt)
+        self.grid, self.khat = grid, ws.khat_kept
+        self.transverse = np.exp(-mu * ws.k2_kept * dt)
+        self.e11, self.e12, _, e22 = acoustic_propagator(ws.k2_kept, nu, dt)
         self.e22_minus_t = e22 - self.transverse
-        full = (self.transverse, self.e11, self.e12, self.e22_minus_t)
-        self.kept = (ws.khat_kept,) + tuple(map(ws.gather, full))
-        self.full = (ws.khat,) + full
-        for table in full + self.kept[1:]:
+        for table in (self.transverse, self.e11, self.e12, self.e22_minus_t):
             table.setflags(write=False)
 
-    def __call__(self, x: np.ndarray, kept: bool = False) -> np.ndarray:
-        """``x = [a, v_1, ..., v_d]``, half spectra or kept blocks, one step later (new)."""
-        khat, transverse, e11, e12, e22_minus_t = self.kept if kept else self.full
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """``x = [a, v_1, ..., v_d]``, kept blocks, one step later (new)."""
         a, v = x[0], x[1:]
-        vlong = reduce(np.add, khat * v)
+        vlong = reduce(np.add, self.khat * v)
         out = np.empty_like(x)
-        np.add(e11 * a, e12 * vlong, out=out[0])
-        np.multiply(transverse, v, out=out[1:])
-        out[1:] += khat * (e12 * a + e22_minus_t * vlong)
+        np.add(self.e11 * a, self.e12 * vlong, out=out[0])
+        np.multiply(self.transverse, v, out=out[1:])
+        out[1:] += self.khat * (self.e12 * a + self.e22_minus_t * vlong)
         return out
 
 
@@ -289,12 +286,13 @@ _FIELD_MAX = 1e8  # largest speed a state may reach before the run ends
 
 def _check_state(state: FlowState, config: StepperConfig,
                  system: str = "cns") -> tuple:
-    """Blow-up guards on the state's physical values, ``[a, v_1, ..., v_d]``
+    """Blow-up guards on the kept block's physical values, ``[a, v_1, ..., v_d]``
     for "cns" and ``v`` for "ins", from one batched inverse transform; returns
     the time-step bounds: maximal speed and max ``|a/(1+a)|`` (0 for "ins")."""
     coeffs = (state.v.coeffs if system == "ins"
               else np.concatenate([state.a.coeffs[None], state.v.coeffs]))
-    samples = _workspace(state.v.grid).samples(coeffs)
+    ws = _workspace(state.v.grid)
+    samples = ws.inverse(ws.gather(coeffs), reuse=True)
     t = state.t
     if not np.all(np.isfinite(samples)):
         raise BlowupError(t, "non-finite field values")
@@ -315,17 +313,16 @@ def _check_state(state: FlowState, config: StepperConfig,
     return speed, ratio
 
 
-def _heun(ws: _Workspace, x: np.ndarray, propagate, tendency, dt: float) -> np.ndarray:
-    """One integrating-factor Heun step ``u + dt/2 (p1 + N(u + dt p1))`` with
-    ``u = P x`` and ``p1 = P N(x)``, ``P`` (``propagate(y, kept)``) the exact
-    linear flow over ``dt`` of half spectra or kept blocks, ``N`` the nonlinear
-    tendency of kept blocks, zero outside them; both return new stacks."""
+def _heun(x: np.ndarray, propagate, tendency, dt: float) -> np.ndarray:
+    """One integrating-factor Heun step ``u + dt/2 (p1 + N(u + dt p1))`` of
+    kept blocks with ``u = P x`` and ``p1 = P N(x)``, ``P`` the exact linear
+    flow over ``dt`` and ``N`` the nonlinear tendency; both return new stacks."""
     u = propagate(x)
-    p1 = propagate(tendency(ws.gather(x)), kept=True)
-    n2 = tendency(ws.gather(u) + dt * p1)  # a new stack, so the stages combine in place
+    p1 = propagate(tendency(x))
+    n2 = tendency(u + dt * p1)  # a new stack, so the stages combine in place
     n2 += p1
     n2 *= 0.5 * dt
-    return ws.scatter(np.add(ws.gather(u), n2, out=n2), out=u)
+    return np.add(u, n2, out=n2)
 
 
 def step_cns(state: FlowState, params: PhysicalParams, dt: float,
@@ -335,7 +332,7 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
 
     The spatial mean of ``a`` is conserved to roundoff: the nonlinear density
     tendency is a divergence and the zero mode of the linear propagator is
-    the identity.
+    the identity.  Modes of the input outside the kept block are dropped.
 
     The input state goes through the blow-up guards unless ``checked`` says
     the caller has done so (``run`` checks every state it steps from).
@@ -344,9 +341,9 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
     if not checked:
         _check_state(state, config)
     ws = _workspace(grid)
-    u = _heun(ws, np.concatenate([state.a.coeffs[None], state.v.coeffs]),
-              _propagator(grid, params.mu, params.nu, dt),
-              lambda x: _cns_tendency(ws, x, params), dt)
+    u = ws.scatter(_heun(ws.gather(np.concatenate([state.a.coeffs[None], state.v.coeffs])),
+                         _propagator(grid, params.mu, params.nu, dt),
+                         lambda x: _cns_tendency(ws, x, params), dt))
     return FlowState(SpectralField(grid, u[0]), SpectralField(grid, u[1:]),
                      state.t + dt)
 
@@ -383,11 +380,10 @@ def step_ins(state: FlowState, mu: float, dt: float) -> FlowState:
     if div_norm > 1e-12 * max(l2_norm_spectral(state.v), 1e-300):
         raise SpectralError(f"step_ins needs div V = 0 (got {div_norm:.3e})")
     ws = _workspace(grid)
-    decay = np.exp(-mu * grid.k2 * dt)
-    decay_kept = ws.gather(decay)
-    v = _heun(ws, state.v.coeffs, lambda x, kept=False: (decay_kept if kept else decay) * x,
+    decay = np.exp(-mu * ws.k2_kept * dt)
+    v = _heun(ws.gather(state.v.coeffs), lambda x: decay * x,
               lambda x: _ins_tendency(ws, x), dt)
-    return replace(state, v=SpectralField(grid, v), t=state.t + dt)
+    return replace(state, v=SpectralField(grid, ws.scatter(v)), t=state.t + dt)
 
 
 def step_heat(u: SpectralField, mu: float, dt: float, forcing=None) -> SpectralField:
@@ -448,15 +444,18 @@ def run(initial: FlowState, params: PhysicalParams,
     stepper; for "ins" the density component of the state is carried along
     unchanged.  When ``snap_times`` is given, steps are clipped so states are
     recorded exactly at those times (shared-time comparisons across runs);
-    otherwise every step is recorded.  Every state goes through
-    the blow-up guards before it is stepped from or recorded.  Returns the
-    trajectory with a termination cause of "horizon" or "blowup"; blow-ups
-    are recorded as events, not raised.
+    otherwise every step is recorded.  The initial state is truncated to the
+    kept block (all it holds outside, non-finite values too, is dropped) and
+    recorded so.  Every state goes through the blow-up guards before it is
+    stepped from or recorded.  Returns the trajectory with a termination
+    cause of "horizon" or "blowup"; blow-ups are recorded as events, not raised.
     """
     if system not in ("cns", "ins"):
         raise SpectralError(f"unknown system '{system}'")
     grid = initial.v.grid
-    state = initial
+    ws = _workspace(grid)
+    a, v = (SpectralField(grid, ws.scatter(ws.gather(f.coeffs))) for f in (initial.a, initial.v))
+    state = replace(initial, a=a, v=v)
     times = [state.t]
     states = [state]
     events = [(state.t, "start")]

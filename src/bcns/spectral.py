@@ -288,10 +288,10 @@ def dealias(f: SpectralField) -> SpectralField:
 
 class _Workspace:
     """A grid's kept block, the modes the 2/3 rule keeps packed in FFT order
-    (rows ``0..m-1, -(m-1)..-1`` of each leading axis, the first ``m`` columns):
-    its gather and scatter, the read-only multipliers ``ik_kept``, ``khat_kept``,
-    ``k2_kept`` on it and ``khat = k/max(|k|, 1)``, transforms between kept
-    blocks and samples, and buffers that a transform reuses with ``reuse``."""
+    (rows ``0..m-1, -(m-1)..-1`` of each leading axis, the first ``m`` columns)
+    and the flow steps' only representation: its gather and scatter, read-only
+    ``ik_kept``, ``khat_kept = k/max(|k|, 1)`` and ``k2_kept`` on it, transforms
+    between kept blocks and samples, and buffers a transform reuses (``reuse``)."""
 
     def __init__(self, grid: Grid):
         self.grid, N, d = grid, grid.N, grid.d
@@ -303,10 +303,10 @@ class _Workspace:
         self._outside = [(..., slice(m, N - m + 1)) + (slice(None),) * (d - 1 - ax)
                          for ax in range(d - 1)]  # the rest of a padded inverse
         self.k2max = float(np.max(grid.k2[grid.dealias_mask]))
-        self.khat = np.stack([kj / np.maximum(grid.kmag, 1.0) for kj in grid.k])
+        khat = np.stack([kj / np.maximum(grid.kmag, 1.0) for kj in grid.k])
         self.ik_kept = self.gather(np.stack(np.broadcast_arrays(*(1j * kj for kj in grid.k))))
-        self.khat_kept, self.k2_kept = self.gather(self.khat), self.gather(grid.k2)
-        for table in (self.khat, self.ik_kept, self.khat_kept, self.k2_kept):
+        self.khat_kept, self.k2_kept = self.gather(khat), self.gather(grid.k2)
+        for table in (self.ik_kept, self.khat_kept, self.k2_kept):
             table.flags.writeable = False
         self._axes = tuple(range(-d, 0))
         self._buffers = {}
@@ -357,12 +357,6 @@ class _Workspace:
         for ax in reversed(self._axes[:-1]):  # the order of rfftn
             np.fft.fft(kept, axis=ax, norm="forward", out=kept)
         return self.gather(half)
-
-    def samples(self, stack: np.ndarray) -> np.ndarray:
-        """Samples of undealiased half spectra (``irfftn``) into a buffer."""
-        out = self.buffer("samples", stack.shape[:1] + self.grid.shape, np.float64)
-        return np.fft.irfftn(stack, s=self.grid.shape, axes=self._axes,
-                             norm="forward", out=out)
 
 
 _workspace = lru_cache(maxsize=2)(_Workspace)  # per grid

@@ -149,6 +149,19 @@ def test_absurd_sizes_exit_2_with_a_message(tmp_path, capsys, text):
     assert err.startswith("error: ") and "allocate" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("nu", ["1e155", "1e300"])
+def test_huge_volume_viscosity_simulates(tmp_path, capsys, nu):
+    # the propagator and the ledger squared nu: past nu ~ 1.3e154 that raised
+    # OverflowError, and at 1e154 the propagator tables were not finite
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text(f"N = 16\nT = 0.05\nsnapshots = 3\nnu = {nu}\n")
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 0, capsys.readouterr().err
+    assert "end:horizon" in (tmp_path / "o" / "events.log").read_text()
+    ledger = np.loadtxt(tmp_path / "o" / "ledger.csv", delimiter=",", skiprows=1)
+    assert np.isfinite(ledger).all()
+
+
 @pytest.mark.parametrize("tag", ["cns", "ins"])
 def test_simulate_blowup_exit_code(tmp_path, capsys, tag):
     # the density leaves the guards in the compressible run; the velocity

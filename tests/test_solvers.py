@@ -19,6 +19,7 @@ from bcns.calculus import (
     paraproduct,
     remainder,
 )
+from bcns.cli import RunConfig, initial_data
 from bcns.lemmas import random_field
 from bcns.solvers import (
     BlowupError,
@@ -169,6 +170,57 @@ def test_acoustic_propagator_eigenvalues():
 def test_acoustic_propagator_stiff_modes_finite():
     e = acoustic_propagator(np.array([900.0]), 1e4, 1.0)
     assert all(np.isfinite(x).all() for x in e)
+    # nu -> inf freezes the density (e11 -> 1) and damps the longitudinal
+    # velocity at once (e12, e22 -> 0) on every mode k != 0
+    k2 = np.unique(make_grid(3, 64).k2)[1:]
+    for nu in (1e154, 1e300):
+        for dt in (1e-6, 1e-3, 1.0):
+            e11, e12, e21, e22 = acoustic_propagator(k2, nu, dt)
+            assert all(np.isfinite(x).all() for x in (e11, e12, e21, e22))
+            assert np.max(np.abs(e11 - 1.0)) <= 1e-15
+            assert np.max(np.abs(e12)) <= 1e-15 and np.max(np.abs(e22)) <= 1e-15
+
+
+def _squared_nu_propagator(k2, nu, dt):
+    # the former tables: delta = sqrt(nu^2 |k|^4 / 4 - |k|^2) squares nu, and
+    # lam_+ = -h + delta cancels for stiff modes
+    k2c = np.asarray(k2, dtype=np.complex128)
+    m = -0.5 * nu * k2c
+    delta = np.sqrt(0.25 * nu**2 * k2c**2 - k2c)
+    ep, em = np.exp((m + delta) * dt), np.exp((m - delta) * dt)
+    small = np.abs(delta * dt) < 1e-4
+    s = np.where(small, dt * np.exp(m * dt),
+                 (ep - em) / (2.0 * np.where(small, 1.0, delta)))
+    cosh = 0.5 * (ep + em)
+    return cosh - s * m, s * (-1j * np.sqrt(k2c)), cosh + s * m
+
+
+def test_acoustic_propagator_matches_the_former_tables_at_moderate_nu():
+    # on the kept block at N = 64 the former formula is itself off a 50-digit
+    # reference by up to 9.5e-13 (the cancellation in lam_+, worst at
+    # nu = 640, dt = 0.05, |k|^2 = 882), so the two agree to 1e-12, not better
+    k2 = np.unique(_workspace(make_grid(2, 64)).k2_kept)
+    for nu in (0.5, 2.0, 10.0, 40.0, 160.0, 640.0):
+        for dt in (1e-4, 1e-3, 5e-3, 0.05):
+            e11, e12, _, e22 = acoustic_propagator(k2, nu, dt)
+            for got, want in zip((e11, e12, e22), _squared_nu_propagator(k2, nu, dt)):
+                assert np.max(np.abs(got - want)) <= 1e-12, (nu, dt)
+
+
+def test_acoustic_propagator_matches_a_50_digit_reference():
+    mpmath = pytest.importorskip("mpmath")
+    k2 = np.array([0.0, 1.0, 2.0, 16.0, 100.0, 441.0, 882.0])  # 16: lam_+ = lam_- at nu = 0.5
+    with mpmath.workdps(50):
+        for nu in (0.5, 2.0, 10.0, 640.0):
+            for dt in (1e-3, 0.05):
+                got = np.stack(acoustic_propagator(k2, nu, dt))
+                for i, q in enumerate(k2):
+                    r = -1j * mpmath.sqrt(q)
+                    E = mpmath.expm(mpmath.matrix([[0, r], [r, -mpmath.mpf(nu) * q]])
+                                    * mpmath.mpf(dt))
+                    want = [complex(E[0, 0]), complex(E[0, 1]), complex(E[1, 0]),
+                            complex(E[1, 1])]
+                    assert np.max(np.abs(got[:, i] - want)) <= 1e-15, (nu, dt, q)
 
 
 def test_step_cns_zero_state():
@@ -338,7 +390,7 @@ def test_step_ins_matches_the_written_out_heun_step(d, N):
     st = FlowState(zeros(make_grid(d, N)), leray_project(v), 0.0)
     for _ in range(3):
         got = step_ins(st, 0.7, 2e-3)
-        want = _written_out_step_ins(st, 0.7, 2e-3)
+        want = _written_out_step_ins(FlowState(st.a, dealias(st.v), st.t), 0.7, 2e-3)
         assert _rel_diff(got.v.coeffs, want) <= 1e-14
         assert got.t == st.t + 2e-3
         st = got
@@ -374,6 +426,56 @@ def test_step_heat_constant_forcing_steady_state():
     assert abs(got - fixed * 0.5) <= 1e-12  # f has coefficient 1/2 at (1,0)
     # approaches the continuum steady state f/(mu k^2) as dt refines
     assert abs(got - 0.5 / (mu * 1.0)) <= 1e-3
+
+
+def _outside_box(f):
+    return f.coeffs[..., ~f.grid.dealias_mask]
+
+
+@pytest.mark.parametrize("system", ["cns", "ins"])
+def test_run_records_only_states_on_the_box(system):
+    # the `initial = random` preset and a random density have modes outside
+    # the 2/3 box: run drops them from the first state it records, and every
+    # later state stays on the box
+    grid, _, v0 = initial_data(RunConfig(N=16, initial="random", amp=0.5))
+    a0 = random_field(grid, np.random.default_rng(3))
+    a0 = a0 * (0.2 / lp_norm(a0, math.inf))
+    if system == "ins":
+        v0 = leray_project(v0)
+    assert _outside_box(a0).any() and _outside_box(v0).any()
+    traj = run(FlowState(a0, v0, 0.0), PhysicalParams(mu=1.0, lam=2.0, gamma=1.4),
+               StepperConfig(), 0.05, system=system)
+    assert traj.terminated == "horizon" and len(traj.states) > 2
+    assert np.array_equal(traj.states[0].a.coeffs, dealias(a0).coeffs)
+    assert np.array_equal(traj.states[0].v.coeffs, dealias(v0).coeffs)
+    for st in traj.states:
+        assert not _outside_box(st.a).any() and not _outside_box(st.v).any()
+
+
+def test_run_drops_non_finite_data_outside_the_box():
+    g = _grid()
+    c = taylor_green(g).coeffs.copy()
+    c[0, 0, -1] = np.nan  # the Nyquist column, outside the box
+    traj = run(FlowState(zeros(g), SpectralField(g, c), 0.0),
+               PhysicalParams(mu=1.0, lam=0.0), StepperConfig(fixed_dt=0.01), 0.02)
+    assert traj.terminated == "horizon"
+    assert all(np.isfinite(st.v.coeffs).all() for st in traj.states)
+
+
+@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
+def test_steps_drop_input_outside_the_box(d, N):
+    a, v = _random_state(d, N)
+    V = leray_project(v)
+    params = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4)
+    got = step_cns(FlowState(a, v * 0.3, 0.0), params, 1e-3)
+    want = step_cns(FlowState(dealias(a), dealias(v * 0.3), 0.0), params, 1e-3)
+    assert np.array_equal(got.a.coeffs, want.a.coeffs)
+    assert np.array_equal(got.v.coeffs, want.v.coeffs)
+    assert not _outside_box(got.a).any() and not _outside_box(got.v).any()
+    got = step_ins(FlowState(a, V, 0.0), 0.7, 1e-3)  # the density is carried along
+    want = step_ins(FlowState(a, dealias(V), 0.0), 0.7, 1e-3)
+    assert np.array_equal(got.v.coeffs, want.v.coeffs)
+    assert not _outside_box(got.v).any()
 
 
 def test_run_zero_data():
@@ -574,8 +676,8 @@ def test_ins_tendency_transforms_the_rotational_form_fields(d, N):
 
 @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
 def test_workspace_multipliers_are_stacked_read_only_tables(d, N):
-    # khat on the half spectrum (the linear flow), ik, khat and |k|^2 on the
-    # kept block: the rows |k_i| < N/3 of each leading axis, the first m columns
+    # ik, khat and |k|^2 on the kept block: the rows |k_i| < N/3 of each
+    # leading axis, the first m columns
     g = make_grid(d, N)
     ws = _Workspace(g)
     kmag = np.maximum(g.kmag, 1.0)
@@ -584,8 +686,7 @@ def test_workspace_multipliers_are_stacked_read_only_tables(d, N):
     box = np.ix_(*[rows] * (d - 1), np.arange(m))
     assert ws.kept_shape == (2 * m - 1,) * (d - 1) + (m,)
     khat = np.stack([ki / kmag for ki in g.k])
-    for table, want in [(ws.khat, khat),
-                        (ws.ik_kept, np.stack([(1j * ki + 0 * g.k2)[box] for ki in g.k])),
+    for table, want in [(ws.ik_kept, np.stack([(1j * ki + 0 * g.k2)[box] for ki in g.k])),
                         (ws.khat_kept, np.stack([c[box] for c in khat])),
                         (ws.k2_kept, g.k2[box])]:
         assert table.shape == want.shape
@@ -673,7 +774,8 @@ def test_step_cns_matches_the_whole_lattice_step(d, N, gamma):
     params = PhysicalParams(mu=0.7, lam=1.3, gamma=gamma)
     for _ in range(3):
         got = step_cns(st, params, 2e-3)
-        want_a, want_v = _whole_lattice_step_cns(st, params, 2e-3)
+        want_a, want_v = _whole_lattice_step_cns(
+            FlowState(dealias(st.a), dealias(st.v), st.t), params, 2e-3)
         assert _rel_diff(got.a.coeffs, want_a) <= 1e-14
         assert _rel_diff(got.v.coeffs, want_v) <= 1e-14
         st = got
@@ -747,25 +849,13 @@ def test_results_never_alias_the_workspace(d, N):
 
 
 @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
-def test_guard_samples_equal_the_complex_inverse_for_any_coefficients(d, N):
-    # the guards read undealiased half spectra, whose columns k_d = 0 and
-    # k_d = -N/2 need not be Hermitian, as the inverse transform does
-    g = make_grid(d, N)
-    rng = np.random.default_rng(2)
-    c = rng.standard_normal((d + 1,) + g.spectral_shape) + 1j * rng.standard_normal(
-        (d + 1,) + g.spectral_shape)
-    want = inverse_transform(SpectralField(g, c))
-    got = _workspace(g).samples(c)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
 def test_guard_bounds_equal_the_pointwise_maxima(d, N):
-    # oracle: the time-step bounds written out on the samples
+    # oracle: the time-step bounds written out on the samples of the state
+    # truncated to the kept block
     a, v = _random_state(d, N)
     for scale in (0.5, -2.0):
         st = FlowState(a * scale, v, 0.0)
-        a_s, v_s = inverse_transform(st.a), inverse_transform(st.v)
+        a_s, v_s = inverse_transform(dealias(st.a)), inverse_transform(dealias(st.v))
         speed, ratio = bcns.solvers._check_state(st, StepperConfig(a_inf_max=1.0))
         assert speed == pytest.approx(np.max(np.sqrt(np.sum(v_s * v_s, axis=0))), rel=1e-14)
         assert ratio == pytest.approx(np.max(np.abs(a_s / (1.0 + a_s))), rel=1e-14)
@@ -786,11 +876,12 @@ def test_cached_propagator_steps_bit_identical_to_fresh_build():
 
 
 def test_propagator_tables_are_freed_with_it():
-    # 200 builds with distinct dt: the cache holds two, and the kept-block
-    # tables must go with the propagator that built them
+    # 200 builds with distinct dt: the cache holds two, and the tables must
+    # go with the propagator that built them
     g = make_grid(2, 64)
     prop = _propagator(g, 1.0, 4.0, 1.0)
-    one = sum(t.nbytes for t in prop.full[1:] + prop.kept[1:])  # khat is the workspace's
+    one = sum(t.nbytes for t in (prop.transverse, prop.e11, prop.e12,
+                                 prop.e22_minus_t))  # khat is the workspace's
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -811,7 +902,7 @@ def test_propagator_cache_never_returns_a_stale_table():
         got = _propagator(*key)
         want = _LinearPropagator(*key)
         assert got.grid == key[0]
-        assert got.e11.shape == (key[0].N, key[0].N // 2 + 1)  # half lattice
+        assert got.e11.shape == _workspace(key[0]).kept_shape
         tables = {name: t for name, t in vars(got).items() if isinstance(t, np.ndarray)}
         assert {"transverse", "e11", "e12"} <= set(tables)
         assert set(tables) == {name for name, t in vars(want).items()
@@ -825,18 +916,21 @@ def test_propagator_cache_never_returns_a_stale_table():
 @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
 def test_propagator_is_the_acoustic_pair_plus_transverse_decay(d, N):
     # oracle: the 2x2 flow on (a, khat . v) and exp(-mu |k|^2 dt) on the
-    # transverse part v - khat (khat . v), recombined per mode
+    # transverse part v - khat (khat . v), recombined per mode on the half
+    # spectrum and compared on the kept block
     g = make_grid(d, N)
+    ws = _workspace(g)
     mu, nu, dt = 0.7, 2.7, 3e-2
     a, v = _random_state(d, N)
-    khat = _workspace(g).khat
+    khat = [ki / np.maximum(g.kmag, 1.0) for ki in g.k]
     e11, e12, e21, e22 = acoustic_propagator(g.k2, nu, dt)
     vlong = sum(khat[i] * v.coeffs[i] for i in range(d))
     want = np.stack([e11 * a.coeffs + e12 * vlong]
                     + [np.exp(-mu * g.k2 * dt) * (v.coeffs[i] - khat[i] * vlong)
                        + khat[i] * (e21 * a.coeffs + e22 * vlong) for i in range(d)])
-    got = _LinearPropagator(g, mu, nu, dt)(np.concatenate([a.coeffs[None], v.coeffs]))
-    assert _rel_diff(got, want) <= 1e-14
+    x = np.concatenate([a.coeffs[None], v.coeffs])
+    got = _LinearPropagator(g, mu, nu, dt)(ws.gather(x))
+    assert _rel_diff(got, ws.gather(want)) <= 1e-14
 
 
 def test_run_guards_the_state_of_its_last_step(monkeypatch):

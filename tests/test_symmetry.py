@@ -1,0 +1,105 @@
+"""Equivariance of the flow under the symmetries of the lattice torus.
+
+Both systems commute with every isometry of the torus that maps the grid to
+itself, and so does a 2/3-dealiased Galerkin scheme on it: the kept box is
+invariant under axis permutations, reflections and translations.  These
+gates therefore hold for any correct scheme, not only for the present one.
+Each map acts on samples: ``(g a)(x) = a(g^-1 x)`` and
+``(g v)(x) = L v(g^-1 x)``, ``L`` the linear part of ``g``.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from bcns.calculus import leray_project
+from bcns.lemmas import random_field
+from bcns.solvers import FlowState, PhysicalParams, StepperConfig, run
+from bcns.spectral import forward_transform, inverse_transform, lp_norm, make_grid
+
+PARAMS = PhysicalParams.from_nu(1.0, 10.0, gamma=1.4)
+CONFIG = StepperConfig(fixed_dt=0.005)
+HORIZON = 20 * 0.005
+GRIDS = [(2, 32), (3, 16)]
+
+
+def _swap(s, vector):
+    # exchange the first and the last axis (a leading axis and the rfft axis);
+    # with d in {2, 3} that reverses the components of a vector
+    out = np.swapaxes(s, -s.ndim + vector, -1)
+    return out[::-1] if vector else out
+
+
+def _reflect(axis):
+    def apply(s, vector):
+        ax = axis - (s.ndim - vector)  # from the end, past the component axis
+        out = np.roll(np.flip(s, axis=ax), 1, axis=ax)
+        if vector:
+            out = out.copy()
+            out[axis] *= -1.0
+        return out
+    return apply
+
+
+def _translate(s, vector):
+    d = s.ndim - vector
+    shifts = (3, -5, 7)[:d]
+    return np.roll(s, shifts, axis=tuple(range(-d, 0)))
+
+
+MAPS = ["swap_first_last", "reflect_first", "reflect_last", "translate"]
+
+
+def _map(name, d):
+    return {"swap_first_last": _swap, "reflect_first": _reflect(0),
+            "reflect_last": _reflect(d - 1), "translate": _translate}[name]
+
+
+def _mapped(state, g):
+    grid = state.v.grid
+    a = forward_transform(g(inverse_transform(state.a), False), grid)
+    v = forward_transform(g(inverse_transform(state.v), True), grid)
+    return FlowState(a, v, state.t)
+
+
+@functools.lru_cache(maxsize=None)
+def _initial(d, N, system):
+    grid = make_grid(d, N)
+    rng = np.random.default_rng(11)
+    a = random_field(grid, rng)
+    v = random_field(grid, rng, vector=True)
+    a = a * (0.3 / lp_norm(a, np.inf))
+    v = v * (1.0 / lp_norm(v, np.inf))
+    if system == "ins":
+        v = leray_project(v)
+    return FlowState(a, v, 0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _final(d, N, system, name=None):
+    state = _initial(d, N, system)
+    if name is not None:
+        state = _mapped(state, _map(name, d))
+    traj = run(state, PARAMS, CONFIG, HORIZON, system=system)
+    assert traj.terminated == "horizon"
+    assert len(traj.times) == 21
+    return traj.final()
+
+
+@pytest.mark.parametrize("name", MAPS)
+@pytest.mark.parametrize("system", ["cns", "ins"])
+@pytest.mark.parametrize("d,N", GRIDS)
+def test_run_commutes_with_the_lattice_symmetries(d, N, system, name):
+    g = _map(name, d)
+    moved = _mapped(_initial(d, N, system), g).v.coeffs - _initial(d, N, system).v.coeffs
+    assert np.max(np.abs(moved)) > 1e-3  # a map that fixes the data would gate nothing
+    want = _mapped(_final(d, N, system), g)
+    got = _final(d, N, system, name)
+    assert got.t == want.t
+    for field in ("a", "v"):
+        w = inverse_transform(getattr(want, field))
+        x = inverse_transform(getattr(got, field))
+        err = np.max(np.abs(x - w)) / np.max(np.abs(w))
+        assert err <= 1e-13, (field, err)
+
