@@ -308,8 +308,8 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
     (q0_lo,), (q0_hi,) = band_table(q0[:1], 2.0, bands), band_table(q0[1:], p, bands)
     lhs = (norm(a_lo[0], low2) + nu * norm(a_lo[0], low2_mid)
            + nu * norm(a_hi[0], hp) + norm(q0_lo, low2) + norm(q0_hi, vp)
-           + M**2 + mu**2)
-    rhs = math.sqrt(mu * nu) * math.exp(-(M + M**2))
+           + M * M + mu * mu)  # products and logs: inf or 0 out of range, no error
+    rhs = math.exp(0.5 * (math.log(mu) + math.log(nu)) - (M + M * M))
     return NormLedger(times, X, Y, Z, W, Vcal, M, lhs, rhs)
 
 

@@ -9,8 +9,9 @@ components outermost.
 
 A field lives in memory as its half spectrum (see :mod:`bcns.spectral`).
 ``write_snapshot`` expands it to the whole lattice by ``c(-k) =
-conj(c(k))``; ``read_snapshot`` checks that symmetry inside the 2/3 box,
-relative to the largest coefficient there, and keeps the half spectrum.
+conj(c(k))``; ``read_snapshot`` refuses non-finite coefficients, checks
+that symmetry inside the 2/3 box, relative to the largest coefficient there,
+and keeps the half spectrum.
 Round-trips are bit-exact.
 """
 
@@ -79,6 +80,8 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
             raise SnapshotError(f"{path}: trailing bytes after payload")
     shape = grid.shape if rank == 1 else (rank,) + grid.shape
     whole = np.frombuffer(raw, dtype="<c16").astype(np.complex128).reshape(shape)
+    if not np.all(np.isfinite(whole)):  # NaN would pass the symmetry check
+        raise SnapshotError(f"{path}: non-finite coefficients in the payload")
     inside = np.meshgrid(*[np.abs(np.fft.fftfreq(N, 1.0 / N)) < N / 3.0] * d,
                          indexing="ij", sparse=True)
     box = whole * functools.reduce(np.logical_and, inside)

@@ -31,6 +31,11 @@ workspace's stacked ``ik``.  At ``gamma = 2`` the compressible one transforms
 6 fields inverse, 1 forward and back (the truncated ``a/(1+a)``) and 5 forward
 in 2D, and 10, 1 and 7 in 3D.  The incompressible one (its projection removes
 ``grad |V|^2/2``) transforms 3 inverse and 2 forward in 2D, and 6 and 3 in 3D.
+A step transforms nothing else: the blow-up guard reads the ``[a, v]`` (or
+``V``) rows of the first stage's batched inverse, which ``run`` evaluates to
+guard a state and hands to the step.  So a compressible step makes 4 batched
+inverse and 4 forward transforms, an incompressible one 2 and 2, and only the
+state at the horizon is inverted for the guard alone.
 """
 
 from __future__ import annotations
@@ -187,9 +192,10 @@ class _LinearPropagator:
     def __init__(self, grid: Grid, mu: float, nu: float, dt: float):
         ws = _workspace(grid)
         self.grid, self.khat = grid, ws.khat_kept
-        self.transverse = np.exp(-mu * ws.k2_kept * dt)
-        self.e11, self.e12, _, e22 = acoustic_propagator(ws.k2_kept, nu, dt)
-        self.e22_minus_t = e22 - self.transverse
+        k2, index = ws.k2_distinct  # built on the distinct |k|^2, read out per mode
+        t, (e11, e12, _, e22) = np.exp(-mu * k2 * dt), acoustic_propagator(k2, nu, dt)
+        self.transverse, self.e11, self.e12, self.e22_minus_t = (
+            table[index] for table in (t, e11, e12, e22 - t))
         for table in (self.transverse, self.e11, self.e12, self.e22_minus_t):
             table.setflags(write=False)
 
@@ -234,9 +240,10 @@ def _add_omega_v(w: np.ndarray, omega: np.ndarray, v: np.ndarray) -> None:
         w[j] -= o * v[i]
 
 
-def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams) -> np.ndarray:
+def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams, guard=None):
     """Dealiased nonlinear remainder ``[N_a, N_v1, ..., N_vd]`` of the
-    nonconservative system from ``x = [a, v_1, ..., v_d]``, kept blocks.
+    nonconservative system from ``x = [a, v_1, ..., v_d]``, kept blocks; with
+    ``guard = (t, config)``, paired with :func:`_guard`'s bounds on ``[a, v]``.
 
     One physical-space evaluation: ``a``, ``v``, ``Omega_ij =
     d_j v_i - d_i v_j`` (``i < j``) and viscous term (and ``grad a`` when
@@ -260,6 +267,7 @@ def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams) -> np.n
     if pressure:
         np.multiply(ik, f[0], out=f[r + d:])
     s = ws.inverse(f, reuse=True)
+    bounds = _guard(s[:1 + d], *guard) if guard else None
     a_s, v_s, visc, grad_a = s[0], s[1:1 + d], s[r:r + d], s[r + d:]
 
     coeffs = (np.stack([a_s, pressure_law(a_s, params.gamma) - a_s]) if pressure
@@ -278,26 +286,20 @@ def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams) -> np.n
     n = np.empty_like(x)
     np.negative(reduce(np.add, ik * oh[:d]), out=n[0])
     np.negative(ik * oh[d] + oh[d + 1:], out=n[1:])
-    return n
+    return (n, bounds) if guard else n
 
 
 _FIELD_MAX = 1e8  # largest speed a state may reach before the run ends
 
 
-def _check_state(state: FlowState, config: StepperConfig,
-                 system: str = "cns") -> tuple:
-    """Blow-up guards on the kept block's physical values, ``[a, v_1, ..., v_d]``
-    for "cns" and ``v`` for "ins", from one batched inverse transform; returns
-    the time-step bounds: maximal speed and max ``|a/(1+a)|`` (0 for "ins")."""
-    coeffs = (state.v.coeffs if system == "ins"
-              else np.concatenate([state.a.coeffs[None], state.v.coeffs]))
-    ws = _workspace(state.v.grid)
-    samples = ws.inverse(ws.gather(coeffs), reuse=True)
-    t = state.t
+def _guard(samples: np.ndarray, t: float, config: StepperConfig | None) -> tuple:
+    """Blow-up guards on the samples of a state, ``[a, v_1, ..., v_d]`` or ``v``
+    alone (``config`` unread); returns the time-step bounds: maximal speed and
+    max ``|a/(1+a)|`` (0 without a density row)."""
     if not np.all(np.isfinite(samples)):
         raise BlowupError(t, "non-finite field values")
-    ratio = 0.0
-    if system == "cns":
+    d, ratio = samples.ndim - 1, 0.0
+    if len(samples) > d:
         lo, hi = float(samples[0].min()), float(samples[0].max())
         amax = max(-lo, hi)
         if amax > config.a_inf_max:
@@ -306,19 +308,19 @@ def _check_state(state: FlowState, config: StepperConfig,
             raise BlowupError(t, f"density {1.0 + lo:.3e} at vacuum guard")
         # a/(1+a) increases with a above the vacuum guard
         ratio = max(abs(lo / (1.0 + lo)), abs(hi / (1.0 + hi)))
-    v_s = samples[1:] if system == "cns" else samples
+    v_s = samples[-d:]
     speed = math.sqrt(float(reduce(np.add, v_s * v_s).max()))
     if speed > _FIELD_MAX:
         raise BlowupError(t, "velocity magnitude overflow")
     return speed, ratio
 
 
-def _heun(x: np.ndarray, propagate, tendency, dt: float) -> np.ndarray:
-    """One integrating-factor Heun step ``u + dt/2 (p1 + N(u + dt p1))`` of
-    kept blocks with ``u = P x`` and ``p1 = P N(x)``, ``P`` the exact linear
-    flow over ``dt`` and ``N`` the nonlinear tendency; both return new stacks."""
+def _heun(x: np.ndarray, n1: np.ndarray, propagate, tendency, dt: float) -> np.ndarray:
+    """One integrating-factor Heun step ``u + dt/2 (p1 + N(u + dt p1))`` of kept
+    blocks with ``u = P x`` and ``p1 = P n1``, ``n1 = N(x)``, ``P`` the exact
+    linear flow over ``dt`` and ``N`` the nonlinear tendency (new stacks)."""
     u = propagate(x)
-    p1 = propagate(tendency(x))
+    p1 = propagate(n1)
     n2 = tendency(u + dt * p1)  # a new stack, so the stages combine in place
     n2 += p1
     n2 *= 0.5 * dt
@@ -326,63 +328,65 @@ def _heun(x: np.ndarray, propagate, tendency, dt: float) -> np.ndarray:
 
 
 def step_cns(state: FlowState, params: PhysicalParams, dt: float,
-             config: StepperConfig = StepperConfig(), *,
-             checked: bool = False) -> FlowState:
+             config: StepperConfig = StepperConfig(), *, stage1=None) -> FlowState:
     """One Heun step of the compressible system through the exact linear flow.
 
     The spatial mean of ``a`` is conserved to roundoff: the nonlinear density
     tendency is a divergence and the zero mode of the linear propagator is
     the identity.  Modes of the input outside the kept block are dropped.
 
-    The input state goes through the blow-up guards unless ``checked`` says
-    the caller has done so (``run`` checks every state it steps from).
+    ``run`` hands over the input's kept block and guarded tendency, ``stage1``;
+    without them the input goes through the blow-up guards in its first stage.
     """
     grid = state.a.grid
-    if not checked:
-        _check_state(state, config)
     ws = _workspace(grid)
-    u = ws.scatter(_heun(ws.gather(np.concatenate([state.a.coeffs[None], state.v.coeffs])),
-                         _propagator(grid, params.mu, params.nu, dt),
+    x = stage1[0] if stage1 else ws.gather(np.concatenate([state.a.coeffs[None],
+                                                           state.v.coeffs]))
+    n1 = stage1[1] if stage1 else _cns_tendency(ws, x, params, (state.t, config))[0]
+    u = ws.scatter(_heun(x, n1, _propagator(grid, params.mu, params.nu, dt),
                          lambda x: _cns_tendency(ws, x, params), dt))
     return FlowState(SpectralField(grid, u[0]), SpectralField(grid, u[1:]),
                      state.t + dt)
 
 
-def _ins_tendency(ws: _Workspace, v: np.ndarray) -> np.ndarray:
+def _ins_tendency(ws: _Workspace, v: np.ndarray, guard=None):
     """Projected transport ``-P((V . grad) V) = -P(Omega V)`` from ``V``, kept
     blocks (``P`` removes ``grad |V|^2/2`` on them): one batched inverse of
-    ``[V, Omega_ij]``, one forward of ``Omega V``, projected as half spectra."""
+    ``[V, Omega_ij]``, one forward of ``Omega V``, projected as half spectra.
+    ``guard`` as for :func:`_cns_tendency`, on ``V``."""
     grid = ws.grid
     d = grid.d
     f = np.empty((d + d * (d - 1) // 2,) + ws.kept_shape, np.complex128)
     f[:d] = v
     _omega_rows(ws.ik_kept, f[:d], f[d:])
     s = ws.inverse(f, reuse=True)
+    bounds = _guard(s[:d], *guard) if guard else None
     w = np.zeros((d,) + grid.shape)
     _add_omega_v(w, s[d:], s[:d])
-    return ws.gather(leray_project(SpectralField(grid, ws.scatter(
+    n = ws.gather(leray_project(SpectralField(grid, ws.scatter(
         -ws.forward(w, reuse=True)))).coeffs)
+    return (n, bounds) if guard else n
 
 
-def step_ins(state: FlowState, mu: float, dt: float) -> FlowState:
+def step_ins(state: FlowState, mu: float, dt: float, *, stage1=None) -> FlowState:
     """One Heun step of the incompressible system with exact viscous decay.
 
     The input velocity must be divergence-free off the Nyquist planes (where
     ``divergence`` drops a component the Leray projection keeps); the output
     remains so because the integrating factor and the projected nonlinearity
-    preserve the constraint.  A non-finite velocity raises :class:`BlowupError`.
+    preserve the constraint.  ``stage1`` and the guards are as for
+    :func:`step_cns`, with the kept block of ``V``.
     """
     grid = state.v.grid
-    if not np.all(np.isfinite(state.v.coeffs)):
-        raise BlowupError(state.t, "non-finite field values")
     off_nyquist = reduce(np.logical_and, [kj != -grid.N // 2 for kj in grid.k])
     div_norm = l2_norm_spectral(divergence(state.v) * off_nyquist)
     if div_norm > 1e-12 * max(l2_norm_spectral(state.v), 1e-300):
         raise SpectralError(f"step_ins needs div V = 0 (got {div_norm:.3e})")
     ws = _workspace(grid)
+    x = stage1[0] if stage1 else ws.gather(state.v.coeffs)
+    n1 = stage1[1] if stage1 else _ins_tendency(ws, x, (state.t, None))[0]
     decay = np.exp(-mu * ws.k2_kept * dt)
-    v = _heun(ws.gather(state.v.coeffs), lambda x: decay * x,
-              lambda x: _ins_tendency(ws, x), dt)
+    v = _heun(x, n1, lambda x: decay * x, lambda x: _ins_tendency(ws, x), dt)
     return replace(state, v=SpectralField(grid, ws.scatter(v)), t=state.t + dt)
 
 
@@ -422,7 +426,7 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
 
 def _adaptive_dt(grid: Grid, bounds: tuple, params: PhysicalParams,
                  config: StepperConfig) -> float:
-    """Time step from the state's bounds (as returned by :func:`_check_state`)."""
+    """Time step from the state's bounds (as returned by :func:`_guard`)."""
     if config.fixed_dt is not None:
         return config.fixed_dt
     vmax, amax = bounds
@@ -447,44 +451,44 @@ def run(initial: FlowState, params: PhysicalParams,
     otherwise every step is recorded.  The initial state is truncated to the
     kept block (all it holds outside, non-finite values too, is dropped) and
     recorded so.  Every state goes through the blow-up guards before it is
-    stepped from or recorded.  Returns the trajectory with a termination
-    cause of "horizon" or "blowup"; blow-ups are recorded as events, not raised.
+    stepped from (in the first Heun stage, handed to the step) or recorded.
+    Returns the trajectory with a termination cause of "horizon" or "blowup";
+    blow-ups are recorded as events, not raised.
     """
     if system not in ("cns", "ins"):
         raise SpectralError(f"unknown system '{system}'")
     grid = initial.v.grid
     ws = _workspace(grid)
-    a, v = (SpectralField(grid, ws.scatter(ws.gather(f.coeffs))) for f in (initial.a, initial.v))
-    state = replace(initial, a=a, v=v)
-    times = [state.t]
-    states = [state]
-    events = [(state.t, "start")]
-    if snap_times is not None:
-        pending = [s for s in sorted(snap_times) if s > state.t + 1e-13]
-    else:
-        pending = None
-    terminated = "horizon"
+    x = ws.gather(np.concatenate([initial.a.coeffs[None], initial.v.coeffs]))
+    u = ws.scatter(x)
+    state = replace(initial, a=SpectralField(grid, u[0]), v=SpectralField(grid, u[1:]))
+    rows = slice(int(system == "ins"), None)  # the stepped rows of x = [a, v]
+    times, states, events, terminated = [state.t], [state], [(state.t, "start")], "horizon"
+    pending = (None if snap_times is None
+               else [s for s in sorted(snap_times) if s > state.t + 1e-13])
+
+    def first_stage(x, t):  # tendency and bounds; a state at the horizon is only guarded
+        if t >= horizon - 1e-12:
+            return None, _guard(ws.inverse(x[rows], reuse=True), t, config)
+        return (_cns_tendency(ws, x, params, (t, config)) if system == "cns"
+                else _ins_tendency(ws, x[rows], (t, config)))
+
     try:
-        bounds = _check_state(state, config, system)
+        n1, bounds = first_stage(x, state.t)
         while state.t < horizon - 1e-12:
-            dt = _adaptive_dt(grid, bounds, params, config)
-            dt = min(dt, horizon - state.t)
-            if pending:
-                dt = min(dt, pending[0] - state.t)
-            dt = float(dt)
-            if system == "cns":
-                state = step_cns(state, params, dt, config, checked=True)
-            else:
-                state = step_ins(state, params.mu, dt)
-            bounds = _check_state(state, config, system)
+            dt = float(min(_adaptive_dt(grid, bounds, params, config), horizon - state.t,
+                           pending[0] - state.t if pending else math.inf))
+            state = (step_cns(state, params, dt, config, stage1=(x, n1)) if system == "cns"
+                     else step_ins(state, params.mu, dt, stage1=(x[rows], n1)))
+            x = ws.gather(np.concatenate([state.a.coeffs[None], state.v.coeffs]))
+            n1, bounds = first_stage(x, state.t)
             record = pending is None
             if pending and abs(state.t - pending[0]) < 1e-10:
                 pending.pop(0)
                 record = True
-            if record or state.t >= horizon - 1e-12:
-                if abs(state.t - times[-1]) > 1e-13:
-                    times.append(state.t)
-                    states.append(state)
+            if (record or state.t >= horizon - 1e-12) and abs(state.t - times[-1]) > 1e-13:
+                times.append(state.t)
+                states.append(state)
     except BlowupError as exc:
         events.append((state.t, f"blowup:{exc.reason}"))
         terminated = "blowup"

@@ -290,8 +290,8 @@ class _Workspace:
     """A grid's kept block, the modes the 2/3 rule keeps packed in FFT order
     (rows ``0..m-1, -(m-1)..-1`` of each leading axis, the first ``m`` columns)
     and the flow steps' only representation: its gather and scatter, read-only
-    ``ik_kept``, ``khat_kept = k/max(|k|, 1)`` and ``k2_kept`` on it, transforms
-    between kept blocks and samples, and buffers a transform reuses (``reuse``)."""
+    ``ik_kept``, ``khat_kept = k/max(|k|, 1)``, ``k2_kept`` and ``k2_distinct`` (its
+    values and their index) on it, kept-block transforms and their buffers (``reuse``)."""
 
     def __init__(self, grid: Grid):
         self.grid, N, d = grid, grid.N, grid.d
@@ -302,11 +302,20 @@ class _Workspace:
                         for pick in product(rows, repeat=d - 1)]  # [full, kept]
         self._outside = [(..., slice(m, N - m + 1)) + (slice(None),) * (d - 1 - ax)
                          for ax in range(d - 1)]  # the rest of a padded inverse
-        self.k2max = float(np.max(grid.k2[grid.dealias_mask]))
+        # in 3D the axis -3 transforms run on the kept rows of axis -2 only: the
+        # other lines are zero in an inverse, and dropped by the gather in forward
+        self._lines = [(..., r, slice(None)) for r, _ in rows] if d == 3 else []
         khat = np.stack([kj / np.maximum(grid.kmag, 1.0) for kj in grid.k])
         self.ik_kept = self.gather(np.stack(np.broadcast_arrays(*(1j * kj for kj in grid.k))))
         self.khat_kept, self.k2_kept = self.gather(khat), self.gather(grid.k2)
-        for table in (self.ik_kept, self.khat_kept, self.k2_kept):
+        # exact integers, ranked without a sort (np.unique's adds 0.3 MB to peak RSS)
+        k2 = self.k2_kept.astype(np.intp)
+        distinct = np.flatnonzero(np.bincount(k2.ravel()))
+        rank = np.empty(distinct[-1] + 1, np.intp)
+        rank[distinct] = np.arange(len(distinct))
+        self.k2_distinct = distinct.astype(float), rank[k2]
+        self.k2max = float(distinct[-1])
+        for table in (self.ik_kept, self.khat_kept, self.k2_kept, *self.k2_distinct):
             table.flags.writeable = False
         self._axes = tuple(range(-d, 0))
         self._buffers = {}
@@ -343,7 +352,8 @@ class _Workspace:
             pad[rows] = 0.0
         self.scatter(stack, out=pad)
         for ax in self._axes[:-1]:  # the order of irfftn
-            np.fft.ifft(pad, axis=ax, norm="forward", out=pad)
+            for part in [pad[lines] for lines in self._lines] if ax == -3 else [pad]:
+                np.fft.ifft(part, axis=ax, norm="forward", out=part)
         return np.fft.irfft(pad, n=g.N, axis=-1, norm="forward",
                             out=self.buffer("inverse", lead + g.shape, np.float64)
                             if reuse else None)
@@ -355,7 +365,8 @@ class _Workspace:
                            out=self.buffer("forward", shape) if reuse else None)
         kept = half[..., : self.m]
         for ax in reversed(self._axes[:-1]):  # the order of rfftn
-            np.fft.fft(kept, axis=ax, norm="forward", out=kept)
+            for part in [kept[lines] for lines in self._lines] if ax == -3 else [kept]:
+                np.fft.fft(part, axis=ax, norm="forward", out=part)
         return self.gather(half)
 
 

@@ -26,6 +26,7 @@ from bcns.lemmas import (
     check_oscillatory_scaling,
     oscillatory_norm,
 )
+from bcns.solvers import taylor_green
 from bcns.spectral import forward_transform, make_grid
 
 
@@ -160,6 +161,18 @@ def test_huge_volume_viscosity_simulates(tmp_path, capsys, nu):
     assert "end:horizon" in (tmp_path / "o" / "events.log").read_text()
     ledger = np.loadtxt(tmp_path / "o" / "ledger.csv", delimiter=",", skiprows=1)
     assert np.isfinite(ledger).all()
+
+
+def test_huge_shear_viscosity_simulates(tmp_path, capsys):
+    # the ledger's smallness condition squared mu and M as Python floats:
+    # mu = 1e200 raised OverflowError, and sqrt(mu nu) exp(-(M + M^2)) may be inf * 0
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text("N = 16\nT = 0.05\nsnapshots = 3\nmu = 1e200\nnu = 1e300\n")
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    out, err = capsys.readouterr()
+    assert rc == 0, err
+    assert "end:horizon" in (tmp_path / "o" / "events.log").read_text()
+    assert "nan" not in out.lower() and "smallness lhs = inf" in out
 
 
 @pytest.mark.parametrize("tag", ["cns", "ins"])
@@ -486,3 +499,23 @@ def test_non_hermitian_file_initial_data_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--config", str(cfgfile)])
     assert rc == 2
     assert "not a real field" in capsys.readouterr().err
+
+
+def test_non_finite_file_initial_data_exits_2(tmp_path, capsys):
+    # NaN compares false with the symmetry tolerance: the data would be read
+    # and both runs would end as blow-ups at t = 0 (exit 3)
+    g = make_grid(2, 16)
+    snap = tmp_path / "v0.snap"
+    write_snapshot(snap, taylor_green(g), 0.0)
+    raw = bytearray(snap.read_bytes())
+    header = raw.index(b"\n") + 1
+    raw[header + 16 * (g.N + 1):header + 16 * (g.N + 2)] = np.array(
+        [complex(np.nan, 0.0)], "<c16").tobytes()  # component 0, k = (1, 1)
+    snap.write_bytes(bytes(raw))
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text(f"N = 16\nT = 0.1\ninitial = file:{snap}\n"
+                       f"output_dir = {tmp_path / 'out'}\n")
+    rc = main(["simulate", "--config", str(cfgfile)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err

@@ -126,6 +126,17 @@ def test_whole_lattice_transform_file_reads_as_its_half(tmp_path):
     assert np.max(np.abs(back.coeffs - want)) <= 1e-15
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+@pytest.mark.parametrize("where", [(1, 2), (-8, 3)])  # inside and outside the 2/3 box
+def test_non_finite_file_rejected(tmp_path, bad, where):
+    g = make_grid(2, 16)
+    whole = np.zeros(g.shape, dtype=complex)
+    whole[where] = bad
+    _raw_snapshot(tmp_path / "bad.snap", whole)
+    with pytest.raises(SnapshotError, match="non-finite"):
+        read_snapshot(tmp_path / "bad.snap")
+
+
 def test_non_real_file_rejected(tmp_path):
     g = make_grid(2, 16)
     whole = np.zeros(g.shape, dtype=complex)

@@ -72,9 +72,16 @@ def _effective_velocity(a, u, nu):
 
 
 def _linear_flow(monkeypatch):
-    """Switch the nonlinear remainder of the compressible step off."""
-    monkeypatch.setattr(bcns.solvers, "_cns_tendency",
-                        lambda ws, x, params: np.zeros_like(x))
+    """Switch the nonlinear remainder of the compressible step off; the guard
+    on the samples of a step's first stage still runs."""
+    tendency = bcns.solvers._cns_tendency
+
+    def linear(ws, x, params, guard=None):
+        if guard is None:
+            return np.zeros_like(x)
+        return np.zeros_like(x), tendency(ws, x, params, guard)[1]
+
+    monkeypatch.setattr(bcns.solvers, "_cns_tendency", linear)
 
 
 def test_params_validation():
@@ -851,15 +858,21 @@ def test_results_never_alias_the_workspace(d, N):
 @pytest.mark.parametrize("d,N", [(2, 16), (3, 8)])
 def test_guard_bounds_equal_the_pointwise_maxima(d, N):
     # oracle: the time-step bounds written out on the samples of the state
-    # truncated to the kept block
+    # truncated to the kept block; the guard reads them from a stage-1
+    # tendency, or from the kept block's own inverse at the horizon
     a, v = _random_state(d, N)
+    ws = _workspace(a.grid)
+    params, cfg = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4), StepperConfig(a_inf_max=1.0)
     for scale in (0.5, -2.0):
         st = FlowState(a * scale, v, 0.0)
         a_s, v_s = inverse_transform(dealias(st.a)), inverse_transform(dealias(st.v))
-        speed, ratio = bcns.solvers._check_state(st, StepperConfig(a_inf_max=1.0))
+        x = ws.gather(np.concatenate([st.a.coeffs[None], st.v.coeffs]))
+        speed, ratio = _cns_tendency(ws, x, params, (0.0, cfg))[1]
         assert speed == pytest.approx(np.max(np.sqrt(np.sum(v_s * v_s, axis=0))), rel=1e-14)
         assert ratio == pytest.approx(np.max(np.abs(a_s / (1.0 + a_s))), rel=1e-14)
-    assert bcns.solvers._check_state(st, StepperConfig(), "ins") == (speed, 0.0)
+        assert bcns.solvers._guard(ws.inverse(x), 0.0, cfg) == (speed, ratio)
+    assert _ins_tendency(ws, x[1:], (0.0, None))[1] == (speed, 0.0)
+    assert bcns.solvers._guard(ws.inverse(x[1:]), 0.0, None) == (speed, 0.0)
 
 
 def test_cached_propagator_steps_bit_identical_to_fresh_build():
@@ -950,6 +963,95 @@ def test_run_guards_the_state_of_its_last_step(monkeypatch):
         assert traj.times == [0.0]  # the bad state is not recorded
         assert any(ev.startswith("blowup:density deviation")
                    for _, ev in traj.events)
+
+
+def _kept(state, system):
+    ws = _workspace(state.v.grid)
+    return ws.gather(np.concatenate([state.a.coeffs[None], state.v.coeffs])
+                     if system == "cns" else state.v.coeffs)
+
+
+def _written_out_run(initial, params, cfg, horizon, system):
+    # oracle: every state guarded from its own kept block's inverse, then a
+    # plain step, which guards it once more from its own first stage
+    ws = _workspace(initial.v.grid)
+    state = FlowState(*(SpectralField(f.grid, ws.scatter(ws.gather(f.coeffs)))
+                        for f in (initial.a, initial.v)), initial.t)
+    times, states, events, terminated = [state.t], [state], [(state.t, "start")], "horizon"
+
+    def guard():
+        return bcns.solvers._guard(ws.inverse(_kept(state, system)), state.t, cfg)
+
+    try:
+        bounds = guard()
+        while state.t < horizon - 1e-12:
+            dt = float(min(bcns.solvers._adaptive_dt(state.v.grid, bounds, params, cfg),
+                           horizon - state.t))
+            state = (step_cns(state, params, dt, cfg) if system == "cns"
+                     else step_ins(state, params.mu, dt))
+            bounds = guard()
+            times.append(state.t)
+            states.append(state)
+    except BlowupError as exc:
+        events.append((state.t, f"blowup:{exc.reason}"))
+        terminated = "blowup"
+    return times, states, events + [(state.t, f"end:{terminated}")], terminated
+
+
+def _guard_cases():
+    # (initial, params, config, horizon, system): adaptive steps to the
+    # horizon for both flows, and a compression that ends on the density cap
+    a, v = _random_state(2, 16)
+    g = a.grid
+    x, _ = g.meshes()
+    squeeze = forward_transform(
+        np.stack([-10.0 * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
+    params = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4)
+    return [(FlowState(a, v * 0.5, 0.1), params, StepperConfig(), 0.14, "cns"),
+            (FlowState(a, leray_project(v), 0.1), params, StepperConfig(), 0.14, "ins"),
+            (FlowState(zeros(g), squeeze, 0.0), PhysicalParams(mu=1.0, lam=0.0),
+             StepperConfig(cfl=0.9), 0.5, "cns")]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_run_is_the_written_out_guard_and_step_loop(case):
+    initial, params, cfg, horizon, system = _guard_cases()[case]
+    traj = run(initial, params, cfg, horizon, system=system)
+    times, states, events, terminated = _written_out_run(initial, params, cfg,
+                                                         horizon, system)
+    assert (traj.times, traj.events, traj.terminated) == (times, events, terminated)
+    assert len(times) >= 2
+    assert terminated == ("blowup" if case == 2 else "horizon")
+    if case == 2:
+        assert events[-2][1].startswith("blowup:density deviation")
+    for got, want in zip(traj.states, states, strict=True):
+        assert got.t == want.t
+        assert np.array_equal(got.a.coeffs, want.a.coeffs)
+        assert np.array_equal(got.v.coeffs, want.v.coeffs)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_run_inverts_each_state_once(monkeypatch, case):
+    # every stepped state is inverted once, by its stage-1 tendency, whose
+    # rows the guard reads; only the horizon state is inverted for the guard
+    initial, params, cfg, horizon, system = _guard_cases()[case]
+    rows = []
+    inverse = _Workspace.inverse
+
+    def counted(ws, stack, reuse=False):
+        rows.append(len(stack))
+        return inverse(ws, stack, reuse)
+
+    monkeypatch.setattr(_Workspace, "inverse", counted)
+    traj = run(initial, params, cfg, horizon, system=system)
+    steps, d, pressure = len(traj.times) - 1, initial.v.grid.d, params.gamma != 2.0
+    # a stage's rows: [a, v, Omega, visc (, grad a)] and its coefficients, or [V, Omega]
+    stage = ([1 + 2 * d + d * (d - 1) // 2 + pressure * d, 1 + pressure] if system == "cns"
+             else [d + d * (d - 1) // 2])
+    if traj.terminated == "horizon":
+        assert rows == stage * 2 * steps + [len(_kept(initial, system))]
+    else:  # a step made the unrecorded state whose first stage ends the run
+        assert rows == stage * 2 * (steps + 1) + stage[:1]
 
 
 @pytest.mark.parametrize("system", ["cns", "ins"])
