@@ -74,7 +74,6 @@ class RunConfig:
     system: str = "both"
     write_snapshots: str = "final"
     vacuum_floor: float = 0.1
-    a_inf_max: float = 0.9
     trials: int = 100
     lemmas: str = "all"
 
@@ -90,8 +89,7 @@ class RunConfig:
 
     def stepper(self) -> StepperConfig:
         return StepperConfig(cfl=self.cfl, dt_max=self.dt_max,
-                             vacuum_floor=self.vacuum_floor,
-                             a_inf_max=self.a_inf_max)
+                             vacuum_floor=self.vacuum_floor)
 
 
 _CONVERTERS = {
@@ -100,7 +98,7 @@ _CONVERTERS = {
     "snapshots": int, "seed": int, "initial": str, "amp": float,
     "compressible_amp": float, "a0_file": str, "output_dir": str,
     "system": str, "write_snapshots": str, "vacuum_floor": float,
-    "a_inf_max": float, "trials": int, "lemmas": str, "nu_list": None,
+    "trials": int, "lemmas": str, "nu_list": None,
 }
 
 

@@ -54,9 +54,7 @@ from .spectral import (
     SpectralError,
     _Workspace,
     _workspace,
-    divergence,
     forward_transform,
-    l2_norm_spectral,
     product_dealiased,  # noqa: F401  (bench/tests check the tracer rebinds it here)
 )
 
@@ -122,7 +120,6 @@ class FlowState:
 class StepperConfig:
     cfl: float = 0.4
     dt_max: float = 0.05
-    a_inf_max: float = 0.9
     vacuum_floor: float = 0.1
     fixed_dt: float | None = None
 
@@ -133,8 +130,6 @@ class StepperConfig:
             raise SpectralError(f"dt_max={self.dt_max} must be > 0")
         if self.fixed_dt is not None and not self.fixed_dt > 0:
             raise SpectralError(f"fixed_dt={self.fixed_dt} must be > 0")
-        if not 0 < self.a_inf_max < math.inf:
-            raise SpectralError(f"a_inf_max={self.a_inf_max} must be in (0, inf)")
         if not 0 <= self.vacuum_floor < 1:
             raise SpectralError(f"vacuum_floor={self.vacuum_floor} must lie in [0, 1)")
 
@@ -294,16 +289,14 @@ _FIELD_MAX = 1e8  # largest speed a state may reach before the run ends
 
 def _guard(samples: np.ndarray, t: float, config: StepperConfig | None) -> tuple:
     """Blow-up guards on the samples of a state, ``[a, v_1, ..., v_d]`` or ``v``
-    alone (``config`` unread); returns the time-step bounds: maximal speed and
-    max ``|a/(1+a)|`` (0 without a density row)."""
+    alone (``config`` unread): non-finite values, the vacuum floor and velocity
+    overflow, in that order; a large density is none.  Returns the time-step
+    bounds: maximal speed and max ``|a/(1+a)|`` (0 without a density row)."""
     if not np.all(np.isfinite(samples)):
         raise BlowupError(t, "non-finite field values")
     d, ratio = samples.ndim - 1, 0.0
     if len(samples) > d:
         lo, hi = float(samples[0].min()), float(samples[0].max())
-        amax = max(-lo, hi)
-        if amax > config.a_inf_max:
-            raise BlowupError(t, f"density deviation {amax:.3e} > {config.a_inf_max}")
         if 1.0 + lo <= config.vacuum_floor:
             raise BlowupError(t, f"density {1.0 + lo:.3e} at vacuum guard")
         # a/(1+a) increases with a above the vacuum guard
@@ -371,19 +364,17 @@ def _ins_tendency(ws: _Workspace, v: np.ndarray, guard=None):
 def step_ins(state: FlowState, mu: float, dt: float, *, stage1=None) -> FlowState:
     """One Heun step of the incompressible system with exact viscous decay.
 
-    The input velocity must be divergence-free off the Nyquist planes (where
-    ``divergence`` drops a component the Leray projection keeps); the output
-    remains so because the integrating factor and the projected nonlinearity
-    preserve the constraint.  ``stage1`` and the guards are as for
-    :func:`step_cns`, with the kept block of ``V``.
+    The input velocity must be divergence-free on the kept block, the only
+    modes the step reads; the output remains so because the integrating factor
+    and the projected nonlinearity preserve the constraint.  ``stage1`` and the
+    guards are as for :func:`step_cns`, with the kept block of ``V``.
     """
     grid = state.v.grid
-    off_nyquist = reduce(np.logical_and, [kj != -grid.N // 2 for kj in grid.k])
-    div_norm = l2_norm_spectral(divergence(state.v) * off_nyquist)
-    if div_norm > 1e-12 * max(l2_norm_spectral(state.v), 1e-300):
-        raise SpectralError(f"step_ins needs div V = 0 (got {div_norm:.3e})")
     ws = _workspace(grid)
     x = stage1[0] if stage1 else ws.gather(state.v.coeffs)
+    div_norm = np.linalg.norm(reduce(np.add, ws.ik_kept * x))
+    if div_norm > 1e-12 * np.linalg.norm(x):  # False for NaN: the guard reports it
+        raise SpectralError(f"step_ins needs div V = 0 (got {div_norm:.3e})")
     n1 = stage1[1] if stage1 else _ins_tendency(ws, x, (state.t, None))[0]
     decay = np.exp(-mu * ws.k2_kept * dt)
     v = _heun(x, n1, lambda x: decay * x, lambda x: _ins_tendency(ws, x), dt)

@@ -364,7 +364,7 @@ def test_bad_step_horizon_or_trials_exits_2(tmp_path, capsys, command, text,
     ("simulate", "N = 16\nT = 0.05\namp = nan\n", "'amp'"),
     ("simulate", "N = 16\nT = 0.05\ncompressible_amp = inf\n", "'compressible_amp'"),
     ("simulate", "N = 16\nT = 0.05\nvacuum_floor = nan\n", "vacuum_floor="),
-    ("simulate", "N = 16\nT = 0.05\na_inf_max = -1\n", "a_inf_max="),
+    ("simulate", "N = 16\nT = 0.05\na_inf_max = -1\n", "unknown key 'a_inf_max'"),
     ("sweep", "N = 16\nT = 0.05\nnu_list = 10, 40, inf\n", "'nu_list'"),
     ("sweep", "N = 16\nT = 0.05\nnu_list = -1, 40, 160\n", "'nu_list'"),
     ("simulate", "N = 16\nT = 0.05\np = 0.5\n", "'p'"),

@@ -109,9 +109,8 @@ def test_stepper_config_validation():
     # a step that cannot be positive would leave run() stepping forever
     for field, value in (("dt_max", 0.0), ("dt_max", -0.1), ("dt_max", math.nan),
                          ("fixed_dt", 0.0), ("fixed_dt", -1e-3),
-                         ("a_inf_max", -1.0), ("a_inf_max", math.nan),
                          ("vacuum_floor", math.nan), ("vacuum_floor", 1.0),
-                         ("vacuum_floor", -0.1), ("a_inf_max", math.inf)):
+                         ("vacuum_floor", -0.1)):
         with pytest.raises(SpectralError, match=field):
             StepperConfig(**{field: value})
     assert StepperConfig(fixed_dt=1e-3).fixed_dt == 1e-3
@@ -131,15 +130,25 @@ def test_pressure_law_closed_form():
     assert pressure_law(np.zeros(3), 1.4).tolist() == [0.0, 0.0, 0.0]
 
 
+def test_dense_resolved_run_reaches_the_horizon():
+    # the Taylor-Green run of `bcns simulate` with a large added compressible
+    # mode compresses the density past 1.9 and stays resolved: a large
+    # density is no blow-up, only the scheme's failures end a run
+    cfg = RunConfig(N=32, nu=27.0, amp=2.0, compressible_amp=16.0, T=0.2, snapshots=11)
+    grid, a0, v0 = initial_data(cfg)
+    traj = run(FlowState(a0, v0, 0.0), cfg.params(), cfg.stepper(), cfg.T,
+               snap_times=np.linspace(0.0, cfg.T, cfg.snapshots))
+    assert traj.terminated == "horizon" and len(traj.times) == 11
+    assert max(float(inverse_transform(st.a).max()) for st in traj.states) > 0.9
+
+
 def test_run_vacuum_guard_reports_the_state_time():
-    # min density 1 - 0.95 = 0.05 is below the vacuum floor 0.1, while
-    # max|a| = 0.95 stays under the raised amplitude guard
+    # min density 1 - 0.95 = 0.05 is below the vacuum floor 0.1
     g = _grid()
     x, _ = g.meshes()
     a0 = forward_transform(-0.95 * np.cos(x) + np.zeros(g.shape), g)
     params = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
-    cfg = StepperConfig(a_inf_max=2.0)
-    traj = run(FlowState(a0, zeros(g, vector=True), 0.3), params, cfg, 1.0)
+    traj = run(FlowState(a0, zeros(g, vector=True), 0.3), params, StepperConfig(), 1.0)
     assert traj.terminated == "blowup"
     blowups = [(t, ev) for t, ev in traj.events if ev.startswith("blowup:")]
     assert len(blowups) == 1
@@ -364,7 +373,7 @@ def test_step_ins_rejects_compressible_data():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_step_ins_divergence_precondition(d):
-    # the check reads the coefficients (Parseval): Taylor-Green data pass,
+    # the check reads the kept block's coefficients: Taylor-Green data pass,
     # a divergence of 1e-10 of the velocity's norm is refused
     g = make_grid(d, 16)
     V = taylor_green(g)
@@ -377,6 +386,10 @@ def test_step_ins_divergence_precondition(d):
     assert lp_norm(divergence(V + bump), 2) == pytest.approx(1e-10 * lp_norm(V + bump, 2))
     with pytest.raises(SpectralError, match="div V = 0"):
         step_ins(FlowState(zeros(g), V + bump, 0.0), 1.0, 0.01)
+    # the step reads the kept block only: a divergence outside it is dropped
+    outside = np.zeros((d,) + g.shape)
+    outside[0] = 1e-3 * np.sin(6 * x)
+    step_ins(FlowState(zeros(g), V + forward_transform(outside, g), 0.0), 1.0, 0.01)
 
 
 def _written_out_step_ins(state, mu, dt):
@@ -862,7 +875,7 @@ def test_guard_bounds_equal_the_pointwise_maxima(d, N):
     # tendency, or from the kept block's own inverse at the horizon
     a, v = _random_state(d, N)
     ws = _workspace(a.grid)
-    params, cfg = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4), StepperConfig(a_inf_max=1.0)
+    params, cfg = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4), StepperConfig()
     for scale in (0.5, -2.0):
         st = FlowState(a * scale, v, 0.0)
         a_s, v_s = inverse_transform(dealias(st.a)), inverse_transform(dealias(st.v))
@@ -947,8 +960,9 @@ def test_propagator_is_the_acoustic_pair_plus_transverse_decay(d, N):
 
 
 def test_run_guards_the_state_of_its_last_step(monkeypatch):
-    # one linear step compresses a = 0 to a deviation above a_inf_max; the
-    # state after the last step must end the run as a blow-up
+    # one step rarefies a = 0 through the vacuum floor (the linear step and
+    # the full one alike); the state after the last step must end the run as
+    # a blow-up
     g = _grid()
     x, _ = g.meshes()
     v0 = forward_transform(
@@ -961,8 +975,8 @@ def test_run_guards_the_state_of_its_last_step(monkeypatch):
                        StepperConfig(fixed_dt=0.2), 0.2)
         assert traj.terminated == "blowup"
         assert traj.times == [0.0]  # the bad state is not recorded
-        assert any(ev.startswith("blowup:density deviation")
-                   for _, ev in traj.events)
+        density = "-6.375e-01" if linear else "-2.166e+00"
+        assert traj.events[-2] == (0.2, f"blowup:density {density} at vacuum guard")
 
 
 def _kept(state, system):
@@ -1000,7 +1014,7 @@ def _written_out_run(initial, params, cfg, horizon, system):
 
 def _guard_cases():
     # (initial, params, config, horizon, system): adaptive steps to the
-    # horizon for both flows, and a compression that ends on the density cap
+    # horizon for both flows, and a squeeze that ends on the vacuum floor
     a, v = _random_state(2, 16)
     g = a.grid
     x, _ = g.meshes()
@@ -1023,7 +1037,8 @@ def test_run_is_the_written_out_guard_and_step_loop(case):
     assert len(times) >= 2
     assert terminated == ("blowup" if case == 2 else "horizon")
     if case == 2:
-        assert events[-2][1].startswith("blowup:density deviation")
+        assert events[-2][1].endswith("at vacuum guard")
+        assert len(times) == 7 and events[-2][0] == pytest.approx(0.1165, abs=1e-4)
     for got, want in zip(traj.states, states, strict=True):
         assert got.t == want.t
         assert np.array_equal(got.a.coeffs, want.a.coeffs)

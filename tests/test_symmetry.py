@@ -5,7 +5,9 @@ itself, and so does a 2/3-dealiased Galerkin scheme on it: the kept box is
 invariant under axis permutations, reflections and translations.  These
 gates therefore hold for any correct scheme, not only for the present one.
 Each map acts on samples: ``(g a)(x) = a(g^-1 x)`` and
-``(g v)(x) = L v(g^-1 x)``, ``L`` the linear part of ``g``.
+``(g v)(x) = L v(g^-1 x)``, ``L`` the linear part of ``g``.  The dyadic
+bands are radial and the ``L^p`` norms of vectors take the Euclidean
+magnitude, so the Besov norms and the ledger of mapped runs are invariant.
 """
 
 import functools
@@ -13,7 +15,9 @@ import functools
 import numpy as np
 import pytest
 
+from bcns.bands import BesovIndex, besov_norm, build_partition
 from bcns.calculus import leray_project
+from bcns.diagnostics import norm_ledger
 from bcns.lemmas import random_field
 from bcns.solvers import FlowState, PhysicalParams, StepperConfig, run
 from bcns.spectral import forward_transform, inverse_transform, lp_norm, make_grid
@@ -77,14 +81,14 @@ def _initial(d, N, system):
 
 
 @functools.lru_cache(maxsize=None)
-def _final(d, N, system, name=None):
+def _trajectory(d, N, system, name=None):
     state = _initial(d, N, system)
     if name is not None:
         state = _mapped(state, _map(name, d))
     traj = run(state, PARAMS, CONFIG, HORIZON, system=system)
     assert traj.terminated == "horizon"
     assert len(traj.times) == 21
-    return traj.final()
+    return traj
 
 
 @pytest.mark.parametrize("name", MAPS)
@@ -94,8 +98,8 @@ def test_run_commutes_with_the_lattice_symmetries(d, N, system, name):
     g = _map(name, d)
     moved = _mapped(_initial(d, N, system), g).v.coeffs - _initial(d, N, system).v.coeffs
     assert np.max(np.abs(moved)) > 1e-3  # a map that fixes the data would gate nothing
-    want = _mapped(_final(d, N, system), g)
-    got = _final(d, N, system, name)
+    want = _mapped(_trajectory(d, N, system).final(), g)
+    got = _trajectory(d, N, system, name).final()
     assert got.t == want.t
     for field in ("a", "v"):
         w = inverse_transform(getattr(want, field))
@@ -103,3 +107,27 @@ def test_run_commutes_with_the_lattice_symmetries(d, N, system, name):
         err = np.max(np.abs(x - w)) / np.max(np.abs(w))
         assert err <= 1e-13, (field, err)
 
+
+@functools.lru_cache(maxsize=None)
+def _diagnostics(name=None):
+    # the ledger of the (cns, ins) pair (p = 3: its low parts in L^2, its high
+    # parts and solenoidal series in L^3) and the final states' Besov norms
+    cns, ins = (_trajectory(2, 32, system, name) for system in ("cns", "ins"))
+    bands = build_partition(cns.final().v.grid)
+    ledger = norm_ledger(cns, ins, PARAMS, 3.0, bands)
+    values = {column: getattr(ledger, column) for column in (
+        "times", "X", "Y", "Z", "W", "Vcal", "M", "smallness_lhs", "smallness_rhs")}
+    for p in (2.0, 3.0):
+        for label, f in (("cns a", cns.final().a), ("cns v", cns.final().v),
+                         ("ins v", ins.final().v)):
+            values[f"{label}, p = {p}"] = besov_norm(f, BesovIndex(-1.0 + 2.0 / p, p), bands)
+    return values
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_diagnostics_are_invariant_under_the_lattice_symmetries(name):
+    want, got = _diagnostics(), _diagnostics(name)
+    for key, w in want.items():
+        w, x = np.asarray(w), np.asarray(got[key])
+        err = np.max(np.abs(x - w)) / np.max(np.abs(w))
+        assert err <= 1e-13, (key, err)
