@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -161,12 +161,20 @@ def besov_sum(norms: np.ndarray, idx: BesovIndex, bands: DyadicBands):
     """``l^r`` over j of ``2^{js} norms[..., j]`` for band tables with j on
     the last axis: a float for one table, an array for a stack of them
     (``idx.p`` is not read: the tables already hold the ``L^p`` norms)."""
-    terms = 2.0 ** (idx.s * np.arange(bands.j_min, bands.j_max + 1)) * norms
+    terms = _band_weights(bands.j_min, bands.j_max, idx.s) * norms
     if math.isinf(idx.r):
-        out = np.max(terms, axis=-1)
+        out = np.maximum.reduce(terms, axis=-1)
     else:
-        out = np.sum(terms**idx.r, axis=-1) ** (1.0 / idx.r)
+        out = np.add.reduce(terms**idx.r, axis=-1) ** (1.0 / idx.r)
     return float(out) if out.ndim == 0 else out
+
+
+@lru_cache(maxsize=64)
+def _band_weights(j_min: int, j_max: int, s: float) -> np.ndarray:
+    """``2^{js}`` for ``j = j_min .. j_max``; read-only."""
+    weights = 2.0 ** (s * np.arange(j_min, j_max + 1))
+    weights.flags.writeable = False
+    return weights
 
 
 def split_low_high(f: SpectralField, nu: float, bands: DyadicBands):

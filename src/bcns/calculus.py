@@ -90,20 +90,6 @@ def remainder(u: SpectralField, v: SpectralField, bands: DyadicBands) -> Spectra
     return _product_sums([terms])[0]
 
 
-def bony_mean_correction(u: SpectralField, v: SpectralField) -> SpectralField:
-    """The exact mean-mode correction ``mean(u) v + mean(v) u - mean(u) mean(v)``."""
-    mu = u.mean()
-    mv = v.mean()
-    corr = v * mu + u * mv
-    c = corr.coeffs.copy()
-    zero = (0,) * u.grid.d
-    if corr.is_vector:
-        c[(slice(None),) + zero] -= mu * mv
-    else:
-        c[zero] -= mu * mv
-    return SpectralField(u.grid, c)
-
-
 def advect(u: SpectralField, f: SpectralField) -> SpectralField:
     """Transport term ``(u . grad) f`` via dealiased products
     (componentwise on vector ``f``)."""

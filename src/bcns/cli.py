@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lemmas as lemma_suite
-from .bands import BesovIndex, band_lp_norms, besov_sum, build_partition
+from .bands import BesovIndex, _band_weights, band_lp_norms, besov_sum, build_partition
 from .calculus import leray_project
 from .diagnostics import (
     FitError,
@@ -380,11 +380,16 @@ def cmd_norms(snapshot: str, s: float, p: float, r: float) -> int:
     idx = BesovIndex(s, p, r)
     bands = build_partition(f.grid)
     norms = band_lp_norms(f, p, bands)
+    # a term or total out of range is inf (an empty band 0), with no error
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _band_weights(bands.j_min, bands.j_max, s)
+        terms = np.where(norms > 0, weights * norms, 0.0)
+        total = besov_sum(terms, replace(idx, s=0.0), bands)
     print(f"# snapshot t={t!r} d={f.grid.d} N={f.grid.N} rank={f.ncomp}")
     print(f"#    j   2^(js)*||Delta_j f||_p   (s={s}, p={p}, r={r})")
-    for j, n in zip(bands.j_range, norms):
-        print(f"{j:6d} {2.0**(j * s) * n:24.15f}")
-    print(f" total {besov_sum(norms, idx, bands):24.15f}")
+    for j, term in zip(bands.j_range, terms):
+        print(f"{j:6d} {term:24.15f}")
+    print(f" total {total:24.15f}")
     return 0
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +72,15 @@ def random_field(grid: Grid, rng: np.random.Generator, decay: float | None = Non
         decay = grid.d / 2.0 + 1.0
     shape = (grid.d,) + grid.shape if vector else grid.shape
     raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    samples = np.fft.ifftn(raw * _envelope(grid, decay) * grid.N**grid.d,
+                           axes=tuple(range(-grid.d, 0)))
+    return forward_transform(samples.real, grid)
+
+
+@lru_cache(maxsize=16)
+def _envelope(grid: Grid, decay: float) -> np.ndarray:
+    """``|k|^-decay`` on the whole lattice, zero at ``k = 0`` and on the
+    Nyquist planes; read-only."""
     k = np.meshgrid(*[np.fft.fftfreq(grid.N, 1.0 / grid.N)] * grid.d,
                     indexing="ij", sparse=True)
     kmag = np.sqrt(sum(ki**2 for ki in k))
@@ -79,8 +89,8 @@ def random_field(grid: Grid, rng: np.random.Generator, decay: float | None = Non
     env[(0,) * grid.d] = 0.0
     for ki in k:
         env = np.where(ki == -grid.N // 2, 0.0, env)
-    samples = np.fft.ifftn(raw * env * grid.N**grid.d, axes=tuple(range(-grid.d, 0)))
-    return forward_transform(samples.real, grid)
+    env.flags.writeable = False
+    return env
 
 
 def _lacunary_pair(grid: Grid, rng: np.random.Generator, s1: float, s2: float):

@@ -55,6 +55,8 @@ class Grid:
 
     d: int
     N: int
+    shape: tuple = field(init=False, repr=False, compare=False)
+    spectral_shape: tuple = field(init=False, repr=False, compare=False)
     k: tuple = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
     kmag: np.ndarray = field(init=False, repr=False, compare=False)
@@ -65,6 +67,9 @@ class Grid:
             raise SpectralError(f"unsupported dimension d={self.d}, need 2 or 3")
         if self.N % 2 != 0 or self.N < 8:
             raise SpectralError(f"mode count N={self.N} must be even and >= 8")
+        object.__setattr__(self, "shape", (self.N,) * self.d)
+        object.__setattr__(self, "spectral_shape",
+                           (self.N,) * (self.d - 1) + (self.N // 2 + 1,))
         k1 = np.fft.fftfreq(self.N, d=1.0 / self.N)  # exact integers as floats
         axes = []
         for ax, n in enumerate(self.spectral_shape):
@@ -84,14 +89,6 @@ class Grid:
     @property
     def dx(self) -> float:
         return 2.0 * math.pi / self.N
-
-    @property
-    def shape(self) -> tuple:
-        return (self.N,) * self.d
-
-    @property
-    def spectral_shape(self) -> tuple:
-        return (self.N,) * (self.d - 1) + (self.N // 2 + 1,)
 
     def meshes(self) -> tuple:
         """Physical coordinate arrays ``x_1, ..., x_d`` (broadcastable)."""
@@ -122,13 +119,15 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
+        c = self.coeffs
+        if type(c) is not np.ndarray or c.dtype != np.complex128:
+            c = np.asarray(c, dtype=np.complex128)
+            object.__setattr__(self, "coeffs", c)
         shape = self.grid.spectral_shape
         if c.shape != shape and c.shape[1:] != shape:
             raise SpectralError(
                 f"coefficient shape {c.shape} is not the half spectrum {shape}"
             )
-        object.__setattr__(self, "coeffs", c)
 
     @property
     def is_vector(self) -> bool:
@@ -202,15 +201,17 @@ def forward_transform(samples: np.ndarray, grid: Grid) -> SpectralField:
     if s.shape != grid.shape and s.shape[1:] != grid.shape:
         raise SpectralError(f"sample shape {s.shape} does not match grid {grid.shape}")
     half = np.fft.rfft(s, axis=-1, norm="forward")
-    return SpectralField(grid, np.fft.fftn(half, axes=_leading_axes(grid),
-                                           norm="forward"))
+    # given s, numpy skips the np.take that would read it off the shape
+    return SpectralField(grid, np.fft.fftn(half, s=grid.shape[1:],
+                                           axes=_leading_axes(grid), norm="forward"))
 
 
 def inverse_transform(f: SpectralField) -> np.ndarray:
     """Coefficients -> real samples; inverse of :func:`forward_transform`:
     ``ifftn`` of the leading axes, then ``irfft`` of the last (``irfftn``)."""
     g = f.grid
-    lead = np.fft.ifftn(f.coeffs, axes=_leading_axes(g), norm="forward")
+    # given s, numpy skips the np.take that would read it off the shape
+    lead = np.fft.ifftn(f.coeffs, s=g.shape[1:], axes=_leading_axes(g), norm="forward")
     return np.fft.irfft(lead, n=g.N, axis=-1, norm="forward")
 
 
@@ -229,11 +230,18 @@ def derivative(f: SpectralField, axis: int, order: int = 1) -> SpectralField:
         raise SpectralError(f"derivative order must be 1 or 2, got {order}")
     if not 0 <= axis < g.d:
         raise SpectralError(f"axis {axis} out of range for d={g.d}")
-    kax = g.k[axis]
+    return _apply_multiplier(f, _derivative_multiplier(g, axis, order))
+
+
+@lru_cache(maxsize=16)
+def _derivative_multiplier(grid: Grid, axis: int, order: int) -> np.ndarray:
+    """``(i k_axis)^order``, its Nyquist plane zeroed for odd orders; read-only."""
+    kax = grid.k[axis]
     mult = (1j * kax) ** order
     if order % 2 == 1:
-        mult = np.where(kax == -g.N // 2, 0.0, mult)
-    return _apply_multiplier(f, mult)
+        mult = np.where(kax == -grid.N // 2, 0.0, mult)
+    mult.flags.writeable = False
+    return mult
 
 
 def gradient(f: SpectralField) -> SpectralField:
@@ -394,7 +402,7 @@ def _product_sums(sums: list) -> list:
     live = [key for key, c in kept.items() if c.any()]
     empty = np.empty((0,) + ws.kept_shape, np.complex128)  # all factors zero
     s = ws.inverse(np.concatenate([empty] + [kept[key] for key in live]))
-    parts = np.split(s, np.cumsum([len(kept[key]) for key in live])[:-1])
+    parts = _row_blocks(s, [len(kept[key]) for key in live])
     samples = {key: part.reshape(factors[key].coeffs.shape[:-d] + grid.shape)
                for key, part in zip(live, parts)}
     totals = []
@@ -408,10 +416,18 @@ def _product_sums(sums: list) -> list:
                 total += sum(prods[1:], prods[0])
         totals.append(total)
     rows = [t.reshape((-1,) + grid.shape) for t in totals]
-    parts = np.split(ws.scatter(ws.forward(np.concatenate(rows))),
-                     np.cumsum(list(map(len, rows)))[:-1])
+    parts = _row_blocks(ws.scatter(ws.forward(np.concatenate(rows))), map(len, rows))
     return [SpectralField(grid, c.reshape(t.shape[:-d] + grid.spectral_shape))
             for t, c in zip(totals, parts)]
+
+
+def _row_blocks(stack: np.ndarray, lengths):
+    """Consecutive blocks of ``stack``'s rows, one view per length (``np.split``
+    without its wrapper)."""
+    start = 0
+    for n in lengths:
+        yield stack[start:start + n]
+        start += n
 
 
 def product_dealiased(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -429,14 +445,15 @@ def lp_norm(f: SpectralField, p: float) -> float:
     Euclidean magnitude, ``p = inf`` gives the max."""
     s = inverse_transform(f)
     if f.is_vector:
-        s = np.sqrt(np.sum(s * s, axis=0))
-    else:
+        s = np.sqrt(np.add.reduce(s * s, axis=0))
+    elif p != 2:
         s = np.abs(s)
     if math.isinf(p):
-        return float(np.max(s))
+        return float(np.maximum.reduce(s, axis=None))
     if p < 1:
         raise SpectralError(f"L^p norm needs p >= 1, got {p}")
-    return float(np.mean(s**p) ** (1.0 / p))
+    t = s * s if p == 2 else s**p  # |s|^2 without the abs, the same bits
+    return float((np.add.reduce(t, axis=None) / t.size) ** (1.0 / p))  # np.mean, bare
 
 
 def _mode_energy(f: SpectralField) -> np.ndarray:

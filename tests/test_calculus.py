@@ -10,7 +10,6 @@ from bcns.bands import (
 )
 from bcns.calculus import (
     advect,
-    bony_mean_correction,
     commutator_transport,
     compressible_project,
     leray_project,
@@ -120,6 +119,13 @@ def test_projectors_reject_scalars():
         leray_project(_rand_scal(g, 0))
     with pytest.raises(SpectralError):
         compressible_project(_rand_scal(g, 0))
+
+
+def bony_mean_correction(u, v):
+    """The exact mean-mode correction ``mean(u) v + mean(v) u - mean(u) mean(v)``
+    of the Bony reconstruction identity (``calculus`` module docstring)."""
+    mu, mv = u.mean(), v.mean()
+    return v * mu + u * mv - mu * mv
 
 
 def test_paraproduct_constant_first_argument():

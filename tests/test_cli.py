@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from bcns.lemmas import (
     oscillatory_norm,
 )
 from bcns.solvers import taylor_green
-from bcns.spectral import forward_transform, make_grid
+from bcns.spectral import SpectralField, forward_transform, make_grid
 
 
 SWEEP_CFG = """
@@ -423,6 +424,32 @@ def test_norms_cos_matches_besov(tmp_path, capsys):
     assert total == pytest.approx(besov_norm(f, BesovIndex(0, 2, 1), b),
                                   rel=1e-12)
     assert total == pytest.approx(2.0**-0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("s, want", [
+    # bands -1 .. 3: cos x lies in bands -1 and 0, cos 3x in band 1 only
+    ("2000", [0.0, "finite", math.inf, 0.0, 0.0, math.inf]),
+    ("-2000", [math.inf, "finite", 0.0, 0.0, 0.0, math.inf])])
+def test_norms_out_of_range_terms_print_inf(tmp_path, capsys, s, want):
+    g = make_grid(2, 16)
+    c = np.zeros(g.spectral_shape, complex)
+    c[1, 0] = c[-1, 0] = c[3, 0] = c[-3, 0] = 0.5  # cos x + cos 3x, exact
+    snap = tmp_path / "c.snap"
+    write_snapshot(snap, SpectralField(g, c), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["norms", str(snap), "--s", s])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    values = [float(ln.split()[-1]) for ln in out.splitlines()
+              if not ln.startswith("#")]
+    assert len(values) == len(want)
+    for v, w in zip(values, want):
+        if w == "finite":
+            assert 0.0 < v < math.inf
+        else:
+            assert v == w
 
 
 @pytest.mark.parametrize("flag, value", [("--p", "0.5"), ("--r", "0.5"),

@@ -7,7 +7,8 @@ gates therefore hold for any correct scheme, not only for the present one.
 Each map acts on samples: ``(g a)(x) = a(g^-1 x)`` and
 ``(g v)(x) = L v(g^-1 x)``, ``L`` the linear part of ``g``.  The dyadic
 bands are radial and the ``L^p`` norms of vectors take the Euclidean
-magnitude, so the Besov norms and the ledger of mapped runs are invariant.
+magnitude, so the Besov norms, the ledger and the limit error of mapped runs
+are invariant, and so are the ratios a lemma trial measures on mapped fields.
 """
 
 import functools
@@ -17,7 +18,8 @@ import pytest
 
 from bcns.bands import BesovIndex, besov_norm, build_partition
 from bcns.calculus import leray_project
-from bcns.diagnostics import norm_ledger
+from bcns import lemmas
+from bcns.diagnostics import limit_error, norm_ledger
 from bcns.lemmas import random_field
 from bcns.solvers import FlowState, PhysicalParams, StepperConfig, run
 from bcns.spectral import forward_transform, inverse_transform, lp_norm, make_grid
@@ -68,12 +70,13 @@ def _mapped(state, g):
 
 
 @functools.lru_cache(maxsize=None)
-def _initial(d, N, system):
+def _initial(d, N, system, at_rest=False):
+    # at_rest: the same velocity with a_0 = 0, as limit_error needs
     grid = make_grid(d, N)
     rng = np.random.default_rng(11)
     a = random_field(grid, rng)
     v = random_field(grid, rng, vector=True)
-    a = a * (0.3 / lp_norm(a, np.inf))
+    a = a * (0.0 if at_rest else 0.3 / lp_norm(a, np.inf))
     v = v * (1.0 / lp_norm(v, np.inf))
     if system == "ins":
         v = leray_project(v)
@@ -81,8 +84,8 @@ def _initial(d, N, system):
 
 
 @functools.lru_cache(maxsize=None)
-def _trajectory(d, N, system, name=None):
-    state = _initial(d, N, system)
+def _trajectory(d, N, system, name=None, at_rest=False):
+    state = _initial(d, N, system, at_rest)
     if name is not None:
         state = _mapped(state, _map(name, d))
     traj = run(state, PARAMS, CONFIG, HORIZON, system=system)
@@ -131,3 +134,48 @@ def test_diagnostics_are_invariant_under_the_lattice_symmetries(name):
         w, x = np.asarray(w), np.asarray(got[key])
         err = np.max(np.abs(x - w)) / np.max(np.abs(w))
         assert err <= 1e-13, (key, err)
+
+
+def _deviation(want, got):
+    return max(float(np.max(np.abs(np.asarray(got[key]) - np.asarray(w)))
+                     / np.max(np.abs(np.asarray(w)))) for key, w in want.items())
+
+
+@functools.lru_cache(maxsize=None)
+def _limit_error(name=None):
+    # the sweep's metric of a (cns, ins) pair whose compressible run has a_0 = 0
+    cns = _trajectory(2, 32, "cns", name, at_rest=True)
+    ins = _trajectory(2, 32, "ins", name)
+    err = limit_error(cns, ins, 3.0, build_partition(cns.final().v.grid),
+                      PARAMS.mu, PARAMS.nu)
+    return vars(err)
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_limit_error_is_invariant_under_the_lattice_symmetries(name):
+    want = _limit_error()
+    assert min(want.values()) > 0.0
+    assert _deviation(want, _limit_error(name)) <= 1e-13
+
+
+def _commutator_ratios(name=None):
+    # one trial of the commutator checks on the N = 32 grid: with one trial
+    # each report's maximum is that trial's ratio
+    draw = lemmas.random_field
+
+    def mapped_draw(grid, rng, decay=None, vector=False):
+        f = draw(grid, rng, decay, vector)
+        return forward_transform(_map(name, 2)(inverse_transform(f), vector), grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        if name is not None:
+            mp.setattr(lemmas, "random_field", mapped_draw)
+        reports = lemmas.check_commutators(trials=1, grid_sizes=(32,), seed=4)
+    return {r.lemma: r.max_ratio for r in reports}
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_lemma_ratios_are_invariant_under_the_lattice_symmetries(name):
+    want = _commutator_ratios()
+    assert len(want) == 3 and min(want.values()) > 0.0
+    assert _deviation(want, _commutator_ratios(name)) <= 1e-13
