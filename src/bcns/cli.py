@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import dataclass, field, fields, replace
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from .diagnostics import (
 from .io import SnapshotError, read_snapshot, write_snapshot
 from .lemmas import oscillatory_data, random_field
 from .solvers import (
+    HORIZON_TOL,
     BlowupError,
     FlowState,
     PhysicalParams,
@@ -51,31 +54,50 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(must: str, ok, **default):
+    """A key with its own check: ``ok(value)`` holds, or the config error
+    reads "key 'k' must <must>"."""
+    return field(metadata={"must": must, "ok": ok}, **default)
+
+
+def _lemma_ids(text: str) -> list:
+    return [s.strip() for s in text.split(",") if s.strip()]
+
+
 @dataclass
 class RunConfig:
+    """The config keys, one field each (``lam`` is the key ``lambda``).  Keys
+    without a check of their own are checked by ``make_grid``, :meth:`params`
+    and :meth:`stepper`, or where they are read."""
+
     d: int = 2
     N: int = 64
     mu: float = 1.0
     lam: float | None = None
     nu: float | None = None
-    nu_list: list = field(default_factory=list)
+    nu_list: list[float] = _key(  # NaN fails too
+        "rise strictly, finite and > 0", default_factory=list,
+        ok=lambda v: all(a < b for a, b in pairwise([0.0, *v, math.inf])))
     gamma: float = 2.0
-    p: float = 2.0
-    T: float = 2.0
+    p: float = _key("be >= 1", lambda p: p >= 1, default=2.0)  # NaN fails too
+    T: float = _key("be finite and > 0", lambda t: 0 < t < math.inf, default=2.0)
     cfl: float = 0.4
     dt_max: float = 0.05
-    snapshots: int = 81
-    seed: int = 0
+    snapshots: int = _key("be >= 2", lambda n: n >= 2, default=81)
+    seed: int = _key("be >= 0", lambda s: s >= 0, default=0)
     initial: str = "taylor_green"
-    amp: float = 1.0
-    compressible_amp: float = 0.0
+    amp: float = _key("be finite", math.isfinite, default=1.0)
+    compressible_amp: float = _key("be finite", math.isfinite, default=0.0)
     a0_file: str = ""
     output_dir: str = "."
-    system: str = "both"
-    write_snapshots: str = "final"
+    system: str = _key("be both|cns|ins", lambda s: s in ("both", "cns", "ins"), default="both")
+    write_snapshots: str = _key("be final|all|none", lambda s: s in ("final", "all", "none"),
+                                default="final")
     vacuum_floor: float = 0.1
-    trials: int = 100
-    lemmas: str = "all"
+    trials: int = _key("be >= 1", lambda n: n >= 1, default=100)
+    lemmas: str = _key(
+        "list lemma ids from all, " + ", ".join(lemma_suite.CHECKS), default="all",
+        ok=lambda s: bool(_lemma_ids(s)) and {"all", *lemma_suite.CHECKS} >= set(_lemma_ids(s)))
 
     def resolved_nu(self) -> float:
         if self.nu is not None:
@@ -92,14 +114,9 @@ class RunConfig:
                              vacuum_floor=self.vacuum_floor)
 
 
-_CONVERTERS = {
-    "d": int, "N": int, "mu": float, "lambda": float, "nu": float,
-    "gamma": float, "p": float, "T": float, "cfl": float, "dt_max": float,
-    "snapshots": int, "seed": int, "initial": str, "amp": float,
-    "compressible_amp": float, "a0_file": str, "output_dir": str,
-    "system": str, "write_snapshots": str, "vacuum_floor": float,
-    "trials": int, "lemmas": str, "nu_list": None,
-}
+CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name): f for f in fields(RunConfig)}
+_PARSE = {"int": int, "float": float, "float | None": float, "str": str,
+          "list[float]": lambda s: [float(v) for v in s.split(",") if v.strip()]}
 
 
 def parse_config(text: str, path: str = "<config>") -> RunConfig:
@@ -113,16 +130,11 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
             raise ConfigError(f"{path} line {lineno}: expected 'key = value', "
                               f"got {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONVERTERS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path} line {lineno}: unknown key '{key}'")
+        f = CONFIG_KEYS[key]
         try:
-            if key == "nu_list":
-                vals = [float(v) for v in value.split(",") if v.strip()]
-                cfg.nu_list = vals
-            elif key == "lambda":
-                cfg.lam = float(value)
-            else:
-                setattr(cfg, key, _CONVERTERS[key](value))
+            setattr(cfg, f.name, _PARSE[f.type](value))
         except ValueError as exc:
             raise ConfigError(f"{path} line {lineno}: bad value for "
                               f"'{key}': {value!r}") from exc
@@ -131,37 +143,19 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 
 
 def _validate(cfg: RunConfig, path: str) -> None:
-    if any(b <= a for a, b in zip(cfg.nu_list, cfg.nu_list[1:])) or not all(
-            0 < nu < math.inf for nu in cfg.nu_list):
-        raise ConfigError(f"{path}: key 'nu_list' must rise strictly, finite and > 0")
-    if cfg.system not in ("both", "cns", "ins"):
-        raise ConfigError(f"{path}: key 'system' must be both|cns|ins")
-    if cfg.write_snapshots not in ("final", "all", "none"):
-        raise ConfigError(f"{path}: key 'write_snapshots' must be final|all|none")
-    if cfg.snapshots < 2:
-        raise ConfigError(f"{path}: key 'snapshots' must be >= 2")
-    if not cfg.p >= 1:  # NaN fails too
-        raise ConfigError(f"{path}: key 'p' must be >= 1, got {cfg.p}")
-    if not 0 < cfg.T < math.inf:
-        raise ConfigError(f"{path}: key 'T' must be finite and > 0, got {cfg.T}")
-    if cfg.trials < 1:
-        raise ConfigError(f"{path}: key 'trials' must be >= 1, got {cfg.trials}")
-    if cfg.seed < 0:
-        raise ConfigError(f"{path}: key 'seed' must be >= 0, got {cfg.seed}")
-    if not cfg.lemmas.replace(",", "").strip():
-        raise ConfigError(f"{path}: key 'lemmas' selects no lemma")
-    for name in cfg.lemmas.split(","):
-        name = name.strip()
-        if name and name != "all" and name not in lemma_suite.CHECKS:
-            raise ConfigError(f"{path}: unknown lemma id '{name}' "
-                              f"(valid: {', '.join(lemma_suite.CHECKS)})")
-    for key in ("amp", "compressible_amp"):
-        if not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"{path}: key '{key}' must be finite")
+    for key, f in CONFIG_KEYS.items():
+        value = getattr(cfg, f.name)
+        if f.metadata and not f.metadata["ok"](value):
+            raise ConfigError(f"{path}: key '{key}' must {f.metadata['must']}, "
+                              f"got {value!r}")
     try:
         make_grid(cfg.d, cfg.N), cfg.params(), cfg.stepper()
     except SpectralError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    # the snapshot times as the runs get them (numpy refuses an absurd count here)
+    if np.linspace(0.0, cfg.T, cfg.snapshots)[1] <= HORIZON_TOL:
+        raise ConfigError(f"{path}: key 'T' must put snapshots over {HORIZON_TOL:g} apart, "
+                          f"got T/(snapshots - 1) = {cfg.T / (cfg.snapshots - 1):g}")
 
 
 def load_config(path: str) -> RunConfig:
@@ -286,7 +280,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
               "(partial artifacts kept)", file=sys.stderr)
         return 3
     if len(runs) == 2:
-        ledger = norm_ledger(runs["cns"], runs["ins"], params, cfg.p, bands)
+        with warnings.catch_warnings():  # p outside its range: one line, no source
+            warnings.showwarning = lambda msg, *_: print(f"simulate: {msg}", file=sys.stderr)
+            ledger = norm_ledger(runs["cns"], runs["ins"], params, cfg.p, bands)
         _write_ledger_csv(outdir / "ledger.csv", ledger)
         print(f"M = {ledger.M:.6g}  smallness lhs = {ledger.smallness_lhs:.6g}  "
               f"rhs = {ledger.smallness_rhs:.6g}")
@@ -354,7 +350,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_lemmas(cfg: RunConfig) -> int:
     outdir = _output_dir(cfg)
-    wanted = [s.strip() for s in cfg.lemmas.split(",") if s.strip()]
+    wanted = _lemma_ids(cfg.lemmas)
     if "all" in wanted:
         wanted = list(lemma_suite.CHECKS)
     reports = []
@@ -380,11 +376,10 @@ def cmd_norms(snapshot: str, s: float, p: float, r: float) -> int:
     idx = BesovIndex(s, p, r)
     bands = build_partition(f.grid)
     norms = band_lp_norms(f, p, bands)
-    # a term or total out of range is inf (an empty band 0), with no error
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = _band_weights(bands.j_min, bands.j_max, s)
-        terms = np.where(norms > 0, weights * norms, 0.0)
-        total = besov_sum(terms, replace(idx, s=0.0), bands)
+    # a term or total out of range is inf (an empty band 0); main silences numpy
+    weights = _band_weights(bands.j_min, bands.j_max, s)
+    terms = np.where(norms > 0, weights * norms, 0.0)
+    total = besov_sum(terms, replace(idx, s=0.0), bands)
     print(f"# snapshot t={t!r} d={f.grid.d} N={f.grid.N} rank={f.ncomp}")
     print(f"#    j   2^(js)*||Delta_j f||_p   (s={s}, p={p}, r={r})")
     for j, term in zip(bands.j_range, terms):
@@ -393,6 +388,8 @@ def cmd_norms(snapshot: str, s: float, p: float, r: float) -> int:
     return 0
 
 
+# a run that overflows ends on the guards' blow-up line, and `norms` prints inf
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bcns",

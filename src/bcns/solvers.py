@@ -285,6 +285,7 @@ def _cns_tendency(ws: _Workspace, x: np.ndarray, params: PhysicalParams, guard=N
 
 
 _FIELD_MAX = 1e8  # largest speed a state may reach before the run ends
+HORIZON_TOL = 1e-12  # `run` takes a time this close to the horizon as reached
 
 
 def _guard(samples: np.ndarray, t: float, config: StepperConfig | None) -> tuple:
@@ -459,14 +460,14 @@ def run(initial: FlowState, params: PhysicalParams,
                else [s for s in sorted(snap_times) if s > state.t + 1e-13])
 
     def first_stage(x, t):  # tendency and bounds; a state at the horizon is only guarded
-        if t >= horizon - 1e-12:
+        if t >= horizon - HORIZON_TOL:
             return None, _guard(ws.inverse(x[rows], reuse=True), t, config)
         return (_cns_tendency(ws, x, params, (t, config)) if system == "cns"
                 else _ins_tendency(ws, x[rows], (t, config)))
 
     try:
         n1, bounds = first_stage(x, state.t)
-        while state.t < horizon - 1e-12:
+        while state.t < horizon - HORIZON_TOL:
             dt = float(min(_adaptive_dt(grid, bounds, params, config), horizon - state.t,
                            pending[0] - state.t if pending else math.inf))
             state = (step_cns(state, params, dt, config, stage1=(x, n1)) if system == "cns"
@@ -477,7 +478,7 @@ def run(initial: FlowState, params: PhysicalParams,
             if pending and abs(state.t - pending[0]) < 1e-10:
                 pending.pop(0)
                 record = True
-            if (record or state.t >= horizon - 1e-12) and abs(state.t - times[-1]) > 1e-13:
+            if (record or state.t >= horizon - HORIZON_TOL) and abs(state.t - times[-1]) > 1e-13:
                 times.append(state.t)
                 states.append(state)
     except BlowupError as exc:

@@ -9,7 +9,7 @@ import pytest
 import bcns.cli
 from bcns.bands import BesovIndex, besov_norm, build_partition
 from bcns.cli import (
-    _CONVERTERS,
+    CONFIG_KEYS,
     ConfigError,
     cmd_lemmas,
     cmd_norms,
@@ -398,6 +398,104 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _main_recording_warnings(capsys, argv):
+    """``main(argv)`` with every warning recorded: exit code, stderr, warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    return rc, capsys.readouterr().err, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("text, events", [
+    # the speed overflows in both runs at t = 0; the pressure law overflows
+    ("amp = 1e200\n", ["ins:start", "ins:blowup:velocity magnitude overflow",
+                        "ins:end:blowup", "cns:start",
+                        "cns:blowup:velocity magnitude overflow", "cns:end:blowup"]),
+    ("gamma = 1e300\ncompressible_amp = 0.5\n",
+     ["ins:start", "ins:end:horizon", "cns:start",
+      "cns:blowup:non-finite field values", "cns:end:blowup"]),
+])
+def test_overflow_blowup_prints_only_its_line(tmp_path, capsys, text, events):
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text(f"N = 16\nT = 0.1\nsnapshots = 3\n{text}")
+    rc, err, caught = _main_recording_warnings(
+        capsys, ["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 3 and caught == []
+    assert len(err.splitlines()) == 1 and err.startswith("simulate: ")
+    logged = (tmp_path / "o" / "events.log").read_text().splitlines()
+    assert [ln.split(" event=", 1)[1] for ln in logged] == events
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("text", ["T = 1e-12\n", "T = 1e-11\nsnapshots = 81\n"])
+def test_snapshot_spacing_within_the_horizon_tolerance_exits_2(tmp_path, capsys,
+                                                               command, text):
+    # run takes a time within HORIZON_TOL of the next snapshot as reached: the
+    # runs would skip snapshots, and the ledger would lose rows
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"N = 16\nnu_list = 1, 10, 100\n{text}")
+    rc = main([command, "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "key 'T'" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_snapshot_spacing_above_the_horizon_tolerance_records_every_snapshot(tmp_path):
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text("N = 16\nT = 1e-11\nsnapshots = 3\n")
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert len((tmp_path / "o" / "ledger.csv").read_text().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("p", ["inf", "1.5"])
+def test_ledger_p_outside_its_range_prints_one_line(tmp_path, capsys, p):
+    cfgfile = tmp_path / "sim.cfg"
+    cfgfile.write_text(f"N = 16\nT = 0.01\nsnapshots = 3\np = {p}\n")
+    rc, err, caught = _main_recording_warnings(
+        capsys, ["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 0 and caught == []
+    assert err.splitlines() == [f"simulate: integrability p={float(p)} outside the "
+                                "supported range [2, 4.0) for d=2; computing anyway"]
+    assert (tmp_path / "o" / "ledger.csv").exists()
+
+
+EDGE_BASE = ("N = 16\nT = 0.01\nsnapshots = 3\nnu_list = 1, 10, 100\n"
+             "trials = 10\nlemmas = bernstein\n")
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "abc"]
+# the stderr line that ends a run with each nonzero exit code
+EDGE_PREFIXES = {2: ("config error: ", "error: "), 3: ("{command}: ",),
+                 4: ("sweep: fit failure: ",)}
+
+
+@pytest.mark.parametrize("key", list(CONFIG_KEYS))
+@pytest.mark.parametrize("command", ["simulate", "sweep", "lemmas"])
+def test_edge_values_end_on_one_line(tmp_path, capsys, monkeypatch, command, key):
+    for value in EDGE_VALUES:
+        text = EDGE_BASE + f"{key} = {value}\n"
+        if (key, value) == ("T", "1e300"):  # valid, and would step for minutes
+            assert parse_config(text).T == 1e300
+            continue
+        case = tmp_path / value
+        case.mkdir()
+        monkeypatch.chdir(case)  # a relative output_dir lands here
+        (case / "edge.cfg").write_text(text)
+        rc, err, caught = _main_recording_warnings(capsys,
+                                                   [command, "--config", "edge.cfg"])
+        where = f"{command} {key} = {value}: exit {rc}, stderr {err!r}"
+        assert rc in (0, 2, 3, 4), where
+        assert caught == [] and "Warning:" not in err and "Traceback" not in err, where
+        lines = err.splitlines()
+        # the lines before the last are sweep's notes on excluded members
+        assert all(re.match(r"sweep: nu=\S+ excluded \(", ln) for ln in lines[:-1]), where
+        if rc:
+            prefixes = tuple(s.format(command=command) for s in EDGE_PREFIXES[rc])
+            assert lines and lines[-1].startswith(prefixes), where
+        else:
+            assert all(ln.startswith(f"{command}: ") for ln in lines), where
+
+
 def test_norms_zero_field(tmp_path, capsys):
     g = make_grid(2, 16)
     snap = tmp_path / "z.snap"
@@ -469,7 +567,7 @@ def test_readme_keys_table_matches_parser():
     table = readme.split("Keys:\n\n", 1)[1].split("\n\n", 1)[0]
     rows = [ln for ln in table.splitlines() if ln.startswith("| `")]
     keys = {k for ln in rows for k in re.findall(r"`([^`]+)`", ln.split("|")[1])}
-    assert keys == set(_CONVERTERS)
+    assert keys == set(CONFIG_KEYS)
     for key in keys:
         try:
             parse_config(f"{key} = 0\n")
