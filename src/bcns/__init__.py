@@ -23,9 +23,6 @@ from .diagnostics import (
     LimitError,
     NormLedger,
     SweepResult,
-    assemble_H1,
-    assemble_H2,
-    decomposition_residual,
     fit_rate,
     limit_error,
     norm_ledger,

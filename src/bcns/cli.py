@@ -291,8 +291,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def sweep_once(cfg: RunConfig) -> SweepResult:
     """One full viscosity sweep.  Viscosities that cannot carry the rate fit
-    raise :class:`FitError` before any run, a reference blow-up
-    :class:`BlowupError` (its time and event) before any member runs."""
+    raise :class:`FitError` before any run; a reference blow-up (before any
+    member runs) and a sweep whose every member blows up print their line and
+    raise :class:`BlowupError` (the reference's or last member's time and event)."""
     if cfg.a0_file:
         raise ConfigError("sweep enforces a0 = 0; remove 'a0_file'")
     check_viscosities(cfg.nu_list)
@@ -305,7 +306,10 @@ def sweep_once(cfg: RunConfig) -> SweepResult:
     traj_ins = run(FlowState(zeros(grid), V0, 0.0), params0, stepcfg, cfg.T,
                    system="ins", snap_times=snap_times)
     if traj_ins.terminated == "blowup":
-        raise BlowupError(*traj_ins.events[-2])
+        t, reason = traj_ins.events[-2]
+        print(f"sweep: incompressible reference terminated by blow-up at t={t:.6g} "
+              f"({reason}); no member run", file=sys.stderr)
+        raise BlowupError(t, reason)
     nus, errors, excluded = [], [], []
     for nu in cfg.nu_list:
         params = cfg.params(nu)
@@ -321,6 +325,9 @@ def sweep_once(cfg: RunConfig) -> SweepResult:
         err = limit_error(traj, traj_ins, cfg.p, bands, cfg.mu, nu)
         nus.append(nu)
         errors.append(err)
+    if not nus:
+        print("sweep: every member terminated by blow-up; no rate fit", file=sys.stderr)
+        raise BlowupError(*traj.events[-2])
     slope, resid = fit_rate(nus, [e.err_sup for e in errors])
     return SweepResult(nus, errors, slope, resid, excluded)
 
@@ -332,9 +339,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     except FitError as exc:
         print(f"sweep: fit failure: {exc}", file=sys.stderr)
         return 4
-    except BlowupError as exc:
-        print(f"sweep: incompressible reference terminated by blow-up at "
-              f"t={exc.t:.6g} ({exc.reason}); no member run", file=sys.stderr)
+    except BlowupError:
         return 3
     with open(outdir / "sweep.csv", "w") as fh:
         fh.write("nu,err_density,err_sup,err_grad_l1,err_dt_l1\n")

@@ -1,5 +1,5 @@
-"""Analytical observables: velocity decomposition, source assembly, norm
-functionals, and the incompressible-limit error metrics.
+"""Analytical observables: velocity decomposition, norm functionals, and
+the incompressible-limit error metrics.
 
 Throughout, ``u := v - V`` is the difference between the compressible
 velocity and the incompressible reference, split as ``u = Pu + Qu`` by the
@@ -26,74 +26,9 @@ from .bands import (
     besov_sum,
     split_low_high,
 )
-from .calculus import advect, compressible_project, leray_project
-from .solvers import PhysicalParams, Trajectory, pressure_law
-from .spectral import (
-    SpectralField,
-    SpectralError,
-    dealias,
-    divergence,
-    forward_transform,
-    gradient,
-    inverse_transform,
-    laplacian,
-    product_dealiased,
-)
-
-
-def _times_density(a: SpectralField, f: SpectralField) -> SpectralField:
-    """Dealiased ``(1 + a) f``."""
-    return f + product_dealiased(a, f)
-
-
-def _k_minus_a(a: SpectralField, gamma: float) -> SpectralField:
-    """``k(a) - a`` with ``k`` the pressure law (zero for gamma = 2)."""
-    s = inverse_transform(dealias(a))
-    return dealias(forward_transform(pressure_law(s, gamma) - s, a.grid))
-
-
-def h1_terms(a, u, V, Vt, Put, Qut, params: PhysicalParams):
-    """The three tagged source terms of the compressible part.
-
-    ``Vt``, ``Put``, ``Qut`` are the caller's time derivatives of the
-    reference velocity, the solenoidal difference, and the compressible
-    difference; the damped combination ``Qu_t + grad a`` is formed here.
-    """
-    for f in (u, V, Vt, Put, Qut):
-        if f.grid != a.grid:
-            raise SpectralError("h1_terms requires a shared grid")
-    tsum = Vt + Put + Qut + gradient(a)
-    t1 = product_dealiased(a, tsum)
-    upV = u + V
-    t2 = _times_density(a, advect(upV, upV))
-    t3 = product_dealiased(_k_minus_a(a, params.gamma), gradient(a))
-    return t1, t2, t3
-
-
-def assemble_H1(a, u, V, Vt, Put, Qut, params: PhysicalParams) -> SpectralField:
-    t1, t2, t3 = h1_terms(a, u, V, Vt, Put, Qut, params)
-    return t1 + t2 + t3
-
-
-def h2_terms(a, Pu, Qu, V, Vt, Put, Qut):
-    """The six tagged source terms of the solenoidal part, from ``u``'s
-    projections ``Pu`` and ``Qu``."""
-    for f in (Pu, Qu, V, Vt, Put, Qut):
-        if f.grid != a.grid:
-            raise SpectralError("h2_terms requires a shared grid")
-    upV = Pu + Qu + V
-    t1 = product_dealiased(a, Vt + Put + Qut + gradient(a))
-    t2 = _times_density(a, advect(Pu, V + Qu))
-    t3 = product_dealiased(a, advect(upV, Pu))
-    t4 = advect(upV, Pu)
-    t5 = _times_density(a, advect(V, Qu) + advect(Qu, V))
-    t6 = product_dealiased(a, advect(Qu, Qu) + advect(V, V))
-    return t1, t2, t3, t4, t5, t6
-
-
-def assemble_H2(a, Pu, Qu, V, Vt, Put, Qut) -> SpectralField:
-    terms = h2_terms(a, Pu, Qu, V, Vt, Put, Qut)
-    return sum(terms[1:], terms[0])
+from .calculus import compressible_project, leray_project
+from .solvers import PhysicalParams, Trajectory
+from .spectral import SpectralError, gradient
 
 
 def _with_time_derivatives(times, fields):
@@ -171,41 +106,6 @@ def decompose(traj_cns: Trajectory, traj_ins: Trajectory) -> DecompositionSeries
     return DecompositionSeries(ta[:n], [st.a for st in traj_cns.states[:n]],
                                [st.v for st in traj_ins.states[:n]],
                                [st.v for st in traj_cns.states[:n]])
-
-
-@dataclass
-class DecompositionResidual:
-    times: np.ndarray
-    mass: np.ndarray       # density equation of the compressible part
-    longitudinal: np.ndarray
-    solenoidal: np.ndarray
-
-
-def decomposition_residual(traj_cns: Trajectory, traj_ins: Trajectory,
-                           params: PhysicalParams, bands: DyadicBands,
-                           p: float = 2.0) -> DecompositionResidual:
-    """Evaluate both compressible-part equations and the solenoidal equation
-    on the numerical fields; returns per-time Besov-norm residuals (index
-    ``-1 + d/p``, and ``d/p`` for the scalar mass equation)."""
-    S = decompose(traj_cns, traj_ins)
-    d = bands.grid.d
-    idx_v = BesovIndex(-1.0 + d / p, p, 1.0)
-    idx_a = BesovIndex(d / p, p, 1.0)
-    mu, nu = params.mu, params.nu
-
-    # (time x equation x band), in one pass over the snapshots
-    pairs = (_with_time_derivatives(S.times, f) for f in (S.a, S.V, S.Qu, S.Pu))
-    rows = []
-    for u, (a, a_t), (V, V_t), (Qu, Qu_t), (Pu, Pu_t) in zip(S.u, *pairs):
-        h1 = assemble_H1(a, u, V, V_t, Pu_t, Qu_t, params)
-        h2 = assemble_H2(a, Pu, Qu, V, V_t, Pu_t, Qu_t)
-        rows.append(band_table((
-            a_t + divergence(Qu) + divergence(product_dealiased(a, u + V)),
-            Qu_t - laplacian(Qu) * nu + gradient(a) + compressible_project(h1),
-            Pu_t - laplacian(Pu) * mu + leray_project(h2)), p, bands))
-    table = np.array(rows)
-    return DecompositionResidual(S.times, besov_sum(table[:, 0], idx_a, bands),
-                                 *besov_sum(table[:, 1:], idx_v, bands).T)
 
 
 def _trapezoid_running(times, values):

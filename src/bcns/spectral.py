@@ -452,8 +452,16 @@ def lp_norm(f: SpectralField, p: float) -> float:
         return float(np.maximum.reduce(s, axis=None))
     if p < 1:
         raise SpectralError(f"L^p norm needs p >= 1, got {p}")
-    t = s * s if p == 2 else s**p  # |s|^2 without the abs, the same bits
-    return float((np.add.reduce(t, axis=None) / t.size) ** (1.0 / p))  # np.mean, bare
+    if p == 2:  # |s|^2 without the abs, the same bits; np.mean, bare
+        m = np.add.reduce(s * s, axis=None) / s.size
+    else:
+        with np.errstate(over="ignore"):  # an inf mean is redone below
+            m = np.add.reduce(s**p, axis=None) / s.size
+    top = 1.0  # a mean outside the normal floats is redone over the sup
+    if not 2.2250738585072014e-308 <= m < math.inf:
+        top = float(np.maximum.reduce(np.abs(s), axis=None))
+        m = np.mean((np.abs(s) / top)**p) if 0 < top < math.inf else 1.0
+    return top * float(m ** (1.0 / p))
 
 
 def _mode_energy(f: SpectralField) -> np.ndarray:

@@ -220,6 +220,20 @@ def test_sweep_reference_blowup_exits_3_before_any_member(tmp_path, capsys,
     assert not (tmp_path / "o" / "sweep.csv").exists()
 
 
+def test_sweep_whose_every_member_blows_up_exits_3(tmp_path, capsys):
+    # the reference reaches T (gamma enters the compressible run only)
+    cfgfile = tmp_path / "sweep.cfg"
+    cfgfile.write_text("N = 16\nT = 0.01\nsnapshots = 3\nnu_list = 1, 10, 100\n"
+                       "gamma = 1e300\n")
+    rc = main(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"sweep: nu={nu} excluded (blowup:non-finite field values)"
+          for nu in (1, 10, 100)),
+        "sweep: every member terminated by blow-up; no rate fit"]
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
 def test_sweep_once_raises_the_package_blowup_error_on_a_reference_blowup():
     cfg = parse_config("N = 16\nT = 0.1\nsnapshots = 3\namp = 1e9\n"
                        "nu_list = 4, 16, 64, 256\n")

@@ -5,18 +5,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-import bcns.diagnostics
 from bcns.bands import BesovIndex, besov_norm, build_partition, split_low_high
 from bcns.calculus import compressible_project, leray_project
 from bcns.diagnostics import (
     _trapezoid_running,
     _with_time_derivatives,
-    assemble_H1,
     decompose,
-    decomposition_residual,
     fit_rate,
-    h1_terms,
-    h2_terms,
     limit_error,
     norm_ledger,
 )
@@ -30,11 +25,9 @@ from bcns.solvers import (
 )
 from bcns.spectral import (
     SpectralError,
-    SpectralField,
     dealias,
     forward_transform,
     gradient,
-    lp_norm,
     make_grid,
     zeros,
 )
@@ -158,65 +151,6 @@ def test_time_derivatives_read_the_series_lazily():
         assert read == min(i + 2 + (i == 0), len(times))
 
 
-def _zero_tderivs(g):
-    return zeros(g, vector=True), zeros(g, vector=True), zeros(g, vector=True)
-
-
-def test_h1_zero_inputs():
-    g = _grid()
-    params = PhysicalParams(mu=1.0, lam=0.0)
-    Vt, Put, Qut = _zero_tderivs(g)
-    out = assemble_H1(zeros(g), zeros(g, vector=True), zeros(g, vector=True),
-                      Vt, Put, Qut, params)
-    assert lp_norm(out, 2) == 0.0
-
-
-def test_h1_vanishing_density():
-    g = _grid()
-    params = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
-    u, V = _rand_vec(g, 6), leray_project(_rand_vec(g, 7))
-    Vt, Put, Qut = (_rand_vec(g, 8), _rand_vec(g, 9), _rand_vec(g, 10))
-    t1, t2, t3 = h1_terms(zeros(g), u, V, Vt, Put, Qut, params)
-    assert lp_norm(t1, 2) <= 1e-14
-    assert lp_norm(t3, 2) <= 1e-14
-    from bcns.calculus import advect
-
-    want = advect(u + V, u + V)
-    assert np.max(np.abs(t2.coeffs - want.coeffs)) <= 1e-12
-
-
-def test_h1_gamma2_kills_pressure_term():
-    g = _grid()
-    params = PhysicalParams(mu=1.0, lam=0.0, gamma=2.0)
-    a = _rand_scal(g, 11) * 0.1
-    u, V = _rand_vec(g, 12), leray_project(_rand_vec(g, 13))
-    Vt, Put, Qut = _zero_tderivs(g)
-    _, _, t3 = h1_terms(a, u, V, Vt, Put, Qut, params)
-    assert lp_norm(t3, 2) == 0.0
-
-
-def test_h2_term_kill_audit():
-    g = _grid()
-    # a = 0 and solenoidal difference zero: u is a pure gradient
-    x, _ = g.meshes()
-    u = forward_transform(
-        np.stack([np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
-    V = taylor_green(g)
-    Vt, Put, Qut = (_rand_vec(g, 14), zeros(g, vector=True), _rand_vec(g, 15))
-    terms = h2_terms(zeros(g), leray_project(u), compressible_project(u), V, Vt, Put, Qut)
-    for i in (0, 1, 2, 3, 5):
-        assert lp_norm(terms[i], 2) <= 1e-13, f"term {i+1} should vanish"
-    assert lp_norm(terms[4], 2) > 1e-3  # advection coupling V with Qu survives
-
-
-def test_h2_all_zero():
-    g = _grid()
-    Vt, Put, Qut = _zero_tderivs(g)
-    terms = h2_terms(zeros(g), zeros(g, vector=True), zeros(g, vector=True),
-                     zeros(g, vector=True), Vt, Put, Qut)
-    assert all(lp_norm(t, 2) == 0.0 for t in terms)
-
-
 def _paired_runs(N, T, dt, gamma=1.4, nu=3.0, amp=0.2, nsnap=None, a_amp=0.0):
     g = make_grid(2, N)
     x, _ = g.meshes()
@@ -232,64 +166,6 @@ def _paired_runs(N, T, dt, gamma=1.4, nu=3.0, amp=0.2, nsnap=None, a_amp=0.0):
     traj_cns = run(FlowState(a0, v0, 0.0), params, cfg, T,
                    system="cns", snap_times=snaps)
     return traj_cns, traj_ins, params
-
-
-def test_decomposition_residual_zero_solution():
-    g = _grid()
-    b = build_partition(g)
-    params = PhysicalParams(mu=1.0, lam=0.0)
-    times = [0.0, 0.1, 0.2]
-    states = [FlowState(zeros(g), zeros(g, vector=True), t) for t in times]
-    traj = Trajectory(list(times), states, [], "horizon")
-    res = decomposition_residual(traj, traj, params, b)
-    assert np.max(res.mass) == 0.0
-    assert np.max(res.longitudinal) == 0.0
-    assert np.max(res.solenoidal) == 0.0
-
-
-def test_decomposition_residual_taylor_green_collapse():
-    # a stays ~0 and v ~ V for solenoidal data: residuals at discretization level
-    g = make_grid(2, 16)
-    b = build_partition(g)
-    params = PhysicalParams(mu=1.0, lam=0.0, gamma=2.0)
-    cfg = StepperConfig(fixed_dt=0.0025)
-    T = 0.1
-    snaps = np.linspace(0.0, T, 41)
-    v0 = taylor_green(g)
-    traj_ins = run(FlowState(zeros(g), v0, 0.0), params, cfg, T,
-                   system="ins", snap_times=snaps)
-    traj_cns = run(FlowState(zeros(g), v0, 0.0), params, cfg, T,
-                   system="cns", snap_times=snaps)
-    res = decomposition_residual(traj_cns, traj_ins, params, b)
-    assert np.max(res.solenoidal) <= 1e-4
-    assert np.max(res.mass) <= 1e-4
-
-
-def test_decomposition_residual_converges_second_order():
-    r_coarse = decomposition_residual(
-        *_paired_runs(16, 0.08, 0.004)[:2],
-        PhysicalParams.from_nu(1.0, 3.0, 1.4), build_partition(_grid()))
-    r_fine = decomposition_residual(
-        *_paired_runs(16, 0.08, 0.002)[:2],
-        PhysicalParams.from_nu(1.0, 3.0, 1.4), build_partition(_grid()))
-    # compare away from the endpoints (one-sided differences there are O(dt))
-    c = np.max(r_coarse.longitudinal[2:-2])
-    f = np.max(r_fine.longitudinal[2:-2])
-    assert 2.5 <= c / f <= 6.0
-
-
-def test_decomposition_residual_projects_each_snapshot_four_times(monkeypatch):
-    # Qu and Pu once each from the series, then Q H1 and P H2: the H2 terms
-    # reuse the series' Pu and Qu
-    traj_cns, traj_ins, params = _paired_runs(16, 0.08, 0.004)
-    calls = []
-    for name in ("leray_project", "compressible_project"):
-        fn = getattr(bcns.diagnostics, name)
-        monkeypatch.setattr(bcns.diagnostics, name,
-                            lambda v, fn=fn: calls.append(fn) or fn(v))
-    decomposition_residual(traj_cns, traj_ins, params, build_partition(_grid()))
-    assert len(traj_cns.times) == 21
-    assert len(calls) == 4 * 21
 
 
 def test_norm_ledger_zero_trajectories():

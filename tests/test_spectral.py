@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,30 @@ def test_lp_norm_of_one():
     one = forward_transform(np.ones(g.shape), g)
     for p in (1, 2, 4, math.inf):
         assert lp_norm(one, p) == pytest.approx(1.0, abs=1e-13)
+
+
+def _lp_norm_oracle(samples, p):
+    """``(mean |s|^p)^(1/p)`` summed in log space, so no power leaves the
+    float range."""
+    logs = p * np.log(np.abs(samples).ravel())
+    top = np.max(logs)
+    return math.exp((top + math.log(np.sum(np.exp(logs - top))) - math.log(logs.size)) / p)
+
+
+@pytest.mark.parametrize("amp, p", [(amp, p) for amp in (1e-3, 1e3)
+                                    for p in (120.0, 400.0, 1e300)]
+                         + [(1e-160, 2.0)])
+def test_lp_norm_stays_exact_where_the_powers_leave_the_float_range(amp, p):
+    # (1e-3)^120 and (1e-160)^2 underflow, (1e3)^120 overflows
+    g = make_grid(2, 16)
+    x, _ = g.meshes()
+    samples = amp * np.cos(x) + np.zeros(g.shape)
+    f = forward_transform(samples, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norm(f, p)
+    assert got == pytest.approx(_lp_norm_oracle(samples, p), rel=1e-12, abs=0)
+    assert 0.7 * amp < got <= amp  # ||cos x||_p: 2^-1/2 at p = 2, 1 at p = inf
 
 
 @pytest.mark.parametrize("vector", [False, True])
