@@ -39,11 +39,9 @@ def compressible_project(v: SpectralField) -> SpectralField:
     """Projection onto gradients: per mode ``k (k . v) / |k|^2``, zero mode 0."""
     _require_vector(v, "compressible_project")
     g = v.grid
-    k2 = g.k2.copy()
-    k2[(0,) * g.d] = 1.0
-    kdotv = sum(g.k[ax] * v.coeffs[ax] for ax in range(g.d)) / k2
+    kdotv = sum(g.k[ax] * v.coeffs[ax] for ax in range(g.d)) / np.maximum(g.k2, 1.0)
     out = np.stack([g.k[ax] * kdotv for ax in range(g.d)])
-    out[(slice(None),) + (0,) * g.d] = 0.0
+    out[(..., *(0,) * g.d)] = 0.0
     return SpectralField(g, out)
 
 
@@ -56,10 +54,7 @@ def leray_project(v: SpectralField) -> SpectralField:
 def _mean_free_cutoff(u: SpectralField, j: int, bands: DyadicBands) -> SpectralField:
     s = low_cutoff(u, j, bands)
     c = s.coeffs.copy()
-    if s.is_vector:
-        c[(slice(None),) + (0,) * s.grid.d] = 0.0
-    else:
-        c[(0,) * s.grid.d] = 0.0
+    c[(..., *(0,) * s.grid.d)] = 0.0
     return SpectralField(s.grid, c)
 
 

@@ -66,15 +66,14 @@ def _lemma_ids(text: str) -> list:
 
 @dataclass
 class RunConfig:
-    """The config keys, one field each (``lam`` is the key ``lambda``).  Keys
-    without a check of their own are checked by ``make_grid``, :meth:`params`
+    """The config keys, one field each, named as the key.  Keys without a
+    check of their own are checked by ``make_grid``, :meth:`params`
     and :meth:`stepper`, or where they are read."""
 
     d: int = 2
     N: int = 64
     mu: float = 1.0
-    lam: float | None = None
-    nu: float | None = None
+    nu: float | None = None  # unset: 2 mu, i.e. lambda = 0
     nu_list: list[float] = _key(  # NaN fails too
         "rise strictly, finite and > 0", default_factory=list,
         ok=lambda v: all(a < b for a, b in pairwise([0.0, *v, math.inf])))
@@ -99,22 +98,18 @@ class RunConfig:
         "list lemma ids from all, " + ", ".join(lemma_suite.CHECKS), default="all",
         ok=lambda s: bool(_lemma_ids(s)) and {"all", *lemma_suite.CHECKS} >= set(_lemma_ids(s)))
 
-    def resolved_nu(self) -> float:
-        if self.nu is not None:
-            return self.nu
-        lam = 0.0 if self.lam is None else self.lam
-        return lam + 2.0 * self.mu
-
     def params(self, nu: float | None = None) -> PhysicalParams:
-        target = self.resolved_nu() if nu is None else nu
-        return PhysicalParams.from_nu(self.mu, target, self.gamma)
+        """The physical parameters at ``nu``, by default the configured one."""
+        if nu is None:
+            nu = 2.0 * self.mu if self.nu is None else self.nu
+        return PhysicalParams(self.mu, nu, self.gamma)
 
     def stepper(self) -> StepperConfig:
         return StepperConfig(cfl=self.cfl, dt_max=self.dt_max,
                              vacuum_floor=self.vacuum_floor)
 
 
-CONFIG_KEYS = {("lambda" if f.name == "lam" else f.name): f for f in fields(RunConfig)}
+CONFIG_KEYS = {f.name: f for f in fields(RunConfig)}
 _PARSE = {"int": int, "float": float, "float | None": float, "str": str,
           "list[float]": lambda s: [float(v) for v in s.split(",") if v.strip()]}
 
@@ -132,9 +127,8 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
         key, value = (s.strip() for s in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path} line {lineno}: unknown key '{key}'")
-        f = CONFIG_KEYS[key]
         try:
-            setattr(cfg, f.name, _PARSE[f.type](value))
+            setattr(cfg, key, _PARSE[CONFIG_KEYS[key].type](value))
         except ValueError as exc:
             raise ConfigError(f"{path} line {lineno}: bad value for "
                               f"'{key}': {value!r}") from exc
@@ -144,7 +138,7 @@ def parse_config(text: str, path: str = "<config>") -> RunConfig:
 
 def _validate(cfg: RunConfig, path: str) -> None:
     for key, f in CONFIG_KEYS.items():
-        value = getattr(cfg, f.name)
+        value = getattr(cfg, key)
         if f.metadata and not f.metadata["ok"](value):
             raise ConfigError(f"{path}: key '{key}' must {f.metadata['must']}, "
                               f"got {value!r}")
@@ -322,7 +316,7 @@ def sweep_once(cfg: RunConfig) -> SweepResult:
             print(f"sweep: nu={nu:g} excluded ({traj.events[-2][1]})",
                   file=sys.stderr)
             continue
-        err = limit_error(traj, traj_ins, cfg.p, bands, cfg.mu, nu)
+        err = limit_error(traj, traj_ins, params, cfg.p, bands)
         nus.append(nu)
         errors.append(err)
     if not nus:

@@ -225,10 +225,10 @@ class LimitError:
     err_dt_l1: float
 
 
-def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, p: float,
-                bands: DyadicBands, mu: float, nu: float) -> LimitError:
-    """Evaluate the convergence metrics between a compressible run and the
-    incompressible reference.
+def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, params: PhysicalParams,
+                p: float, bands: DyadicBands) -> LimitError:
+    """Evaluate the convergence metrics between a compressible run with
+    ``params`` and the incompressible reference.
 
     Blocks: ``sqrt(nu/mu) sup_t ||a||_{B^{d/p}_{p,1}}``,
     ``sup_t ||Pv - V||_{B^{-1+d/p}_{p,1}}``,
@@ -237,7 +237,7 @@ def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, p: float,
     the compressible run and shared snapshot times.
     """
     S = decompose(traj_cns, traj_ins)
-    d = bands.grid.d
+    d, mu = bands.grid.d, params.mu
     hp = BesovIndex(d / p, p, 1.0)
     vp = BesovIndex(-1.0 + d / p, p, 1.0)
     vp_hi = BesovIndex(1.0 + d / p, p, 1.0)
@@ -254,7 +254,7 @@ def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, p: float,
     dts = besov_sum(pu_t, vp, bands)
 
     return LimitError(
-        err_density=math.sqrt(nu / mu) * float(np.max(dens)),
+        err_density=math.sqrt(params.nu / mu) * float(np.max(dens)),
         err_sup=float(np.max(sups)),
         err_grad_l1=mu * float(np.trapezoid(grads, S.times)),
         err_dt_l1=float(np.trapezoid(dts, S.times)),

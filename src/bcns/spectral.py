@@ -148,10 +148,8 @@ class SpectralField:
 
     def mean(self):
         """Spatial mean: scalar for a scalar field, array for a vector."""
-        if self.is_vector:
-            idx = (slice(None),) + (0,) * self.grid.d
-            return self.coeffs[idx].real.copy()
-        return float(self.coeffs[(0,) * self.grid.d].real)
+        m = self.coeffs[(..., *(0,) * self.grid.d)].real
+        return m.copy() if m.ndim else float(m)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
@@ -163,11 +161,8 @@ class SpectralField:
             return SpectralField(self.grid, op(self.coeffs, other.coeffs))
         # adding a number means adding the constant field: zero mode only
         c = self.coeffs.copy()
-        zero = (0,) * self.grid.d
-        if self.is_vector:
-            c[(slice(None),) + zero] = op(c[(slice(None),) + zero], other)
-        else:
-            c[zero] = op(c[zero], other)
+        zero = (..., *(0,) * self.grid.d)
+        c[zero] = op(c[zero], other)
         return SpectralField(self.grid, c)
 
     def __add__(self, other):
@@ -279,13 +274,8 @@ def inv_laplacian(f: SpectralField) -> SpectralField:
         raise SpectralError(
             f"inv_laplacian needs a zero-mean field (|mean| = {mean_mag:.3e})"
         )
-    k2 = g.k2.copy()
-    k2[(0,) * g.d] = 1.0
-    out = f.coeffs / k2
-    if f.is_vector:
-        out[(slice(None),) + (0,) * g.d] = 0.0
-    else:
-        out[(0,) * g.d] = 0.0
+    out = f.coeffs / np.maximum(g.k2, 1.0)
+    out[(..., *(0,) * g.d)] = 0.0
     return SpectralField(g, out)
 
 
@@ -440,14 +430,32 @@ def product_dealiased(f: SpectralField, g: SpectralField) -> SpectralField:
     return _product_sums([[(f, g)]])[0]
 
 
+_TINY = 2.2250738585072014e-308  # the smallest normal float
+
+
 def lp_norm(f: SpectralField, p: float) -> float:
     """Mean-value normalized ``L^p`` norm; vectors use the pointwise
     Euclidean magnitude, ``p = inf`` gives the max."""
-    s = inverse_transform(f)
+    c = inverse_transform(f)
+    s = np.sqrt(np.add.reduce(c * c, axis=0)) if f.is_vector else c if p == 2 else np.abs(c)
+    r = _power_mean(s, p)
+    if _TINY <= (r * r if f.is_vector else r) < math.inf:
+        return r
+    # a mean of powers or a squared magnitude outside the normal floats: redo
+    # over the largest component, then over the largest magnitude
+    top = float(np.maximum.reduce(np.abs(c), axis=None))
+    if not 0 < top < math.inf:
+        return top
+    s = np.abs(c / top)
     if f.is_vector:
         s = np.sqrt(np.add.reduce(s * s, axis=0))
-    elif p != 2:
-        s = np.abs(s)
+    peak = float(np.maximum.reduce(s, axis=None))  # 1 for a scalar
+    return top * peak * _power_mean(s / peak, p)
+
+
+def _power_mean(s: np.ndarray, p: float) -> float:
+    """``(mean |s|^p)^(1/p)``, the max at ``p = inf`` (``s >= 0`` unless
+    ``p = 2``); nan where the mean of powers is not a normal float."""
     if math.isinf(p):
         return float(np.maximum.reduce(s, axis=None))
     if p < 1:
@@ -455,13 +463,9 @@ def lp_norm(f: SpectralField, p: float) -> float:
     if p == 2:  # |s|^2 without the abs, the same bits; np.mean, bare
         m = np.add.reduce(s * s, axis=None) / s.size
     else:
-        with np.errstate(over="ignore"):  # an inf mean is redone below
+        with np.errstate(over="ignore"):  # an inf mean is redone
             m = np.add.reduce(s**p, axis=None) / s.size
-    top = 1.0  # a mean outside the normal floats is redone over the sup
-    if not 2.2250738585072014e-308 <= m < math.inf:
-        top = float(np.maximum.reduce(np.abs(s), axis=None))
-        m = np.mean((np.abs(s) / top)**p) if 0 < top < math.inf else 1.0
-    return top * float(m ** (1.0 / p))
+    return float(m ** (1.0 / p)) if _TINY <= m < math.inf else math.nan
 
 
 def _mode_energy(f: SpectralField) -> np.ndarray:

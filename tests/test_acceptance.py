@@ -241,7 +241,7 @@ def _terminal_state(dt, T=0.25, N=32):
     x, _ = g.meshes()
     v0 = taylor_green(g) + forward_transform(
         np.stack([0.3 * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
-    params = PhysicalParams(mu=1.0, lam=2.0, gamma=1.4)
+    params = PhysicalParams(mu=1.0, nu=4.0, gamma=1.4)
     traj = run(FlowState(zeros(g), v0, 0.0), params, StepperConfig(fixed_dt=dt), T)
     return traj.final()
 
@@ -255,7 +255,7 @@ def test_criterion_5_solver_order():
 
     g = make_grid(2, 32)
     traj = run(FlowState(zeros(g), taylor_green(g), 0.0),
-               PhysicalParams(mu=1.0, lam=0.0),
+               PhysicalParams(mu=1.0, nu=2.0),
                StepperConfig(cfl=0.4, dt_max=0.05), 1.0, system="ins")
     e_ratio = _kinetic_energy(traj.final().v) / _kinetic_energy(traj.states[0].v)
     energy_ok = abs(e_ratio - math.exp(-4.0)) <= 1e-4

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from bcns.bands import BesovIndex, besov_norm, build_partition
 from bcns.cli import (
     CONFIG_KEYS,
     ConfigError,
+    RunConfig,
     cmd_lemmas,
     cmd_norms,
     cmd_simulate,
@@ -21,6 +23,7 @@ from bcns.cli import (
     parse_config,
     sweep_once,
 )
+from bcns.diagnostics import limit_error
 from bcns.io import write_snapshot
 from bcns.lemmas import (
     LemmaReport,
@@ -47,10 +50,26 @@ seed = 1
 
 
 def test_parse_config_defaults_and_overrides():
-    cfg = parse_config("N = 32\nmu = 0.5\nlambda = 3.0\n")
-    assert cfg.N == 32 and cfg.mu == 0.5 and cfg.lam == 3.0
-    assert cfg.resolved_nu() == pytest.approx(4.0)
+    cfg = parse_config("N = 32\nmu = 0.5\nnu = 4.0\n")
+    assert cfg.N == 32 and cfg.mu == 0.5 and cfg.params().nu == 4.0
     assert cfg.d == 2 and cfg.gamma == 2.0
+    params = parse_config("mu = 0.5\n").params()  # nu unset: 2 mu, lambda = 0
+    assert params.nu == 1.0 and params.lam == 0.0
+
+
+def test_config_keys_are_the_fields_without_an_alias():
+    assert set(CONFIG_KEYS) == {f.name for f in fields(RunConfig)}
+    assert len(CONFIG_KEYS) == 22
+
+
+def test_lambda_key_is_unknown(tmp_path, capsys):
+    # nu = lambda + 2 mu is the one viscosity input
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text("N = 16\nlambda = 3\n")
+    rc = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"config error: {cfgfile} line 2: "
+                                       "unknown key 'lambda'\n")
 
 
 def test_parse_config_unknown_key_names_line():
@@ -262,6 +281,26 @@ def test_sweep_csv_schema_and_determinism(tmp_path):
     assert fit1.decode().startswith("slope ")
 
 
+def test_sweep_limit_errors_read_the_members_parameters(monkeypatch):
+    # 0.3 - 2 + 2 is not 0.3: the members step and are measured at the exact nu
+    real_run = bcns.cli.run
+    runs = []
+
+    def recording_run(initial, params, *args, **kwargs):
+        runs.append((params, real_run(initial, params, *args, **kwargs)))
+        return runs[-1][1]
+
+    monkeypatch.setattr(bcns.cli, "run", recording_run)
+    cfg = parse_config("N = 16\nT = 0.05\nsnapshots = 3\ncompressible_amp = 0.2\n"
+                       "nu_list = 0.3, 3, 30\n")
+    result = sweep_once(cfg)
+    (_, traj_ins), *members = runs
+    assert [params.nu for params, _ in members] == result.nu_values == [0.3, 3.0, 30.0]
+    bands = build_partition(make_grid(cfg.d, cfg.N))
+    assert result.errors == [limit_error(traj, traj_ins, cfg.params(nu), cfg.p, bands)
+                             for nu, (_, traj) in zip(cfg.nu_list, members)]
+
+
 def test_sweep_too_few_viscosities(tmp_path, capsys, monkeypatch):
     # the fit's viscosity checks fail before the first run
     def no_run(*args, **kwargs):
@@ -374,7 +413,6 @@ def test_bad_step_horizon_or_trials_exits_2(tmp_path, capsys, command, text,
     ("lemmas", "seed = -1\nlemmas = heat\n", "'seed'"),
     ("simulate", "N = 16\nT = 0.05\nmu = nan\n", "mu="),
     ("simulate", "N = 16\nT = 0.05\nnu = nan\n", "nu ="),
-    ("simulate", "N = 16\nT = 0.05\nlambda = nan\n", "lambda"),
     ("simulate", "N = 16\nT = 0.05\ngamma = nan\n", "gamma="),
     ("simulate", "N = 16\nT = 0.05\namp = nan\n", "'amp'"),
     ("simulate", "N = 16\nT = 0.05\ncompressible_amp = inf\n", "'compressible_amp'"),

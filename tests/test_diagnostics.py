@@ -157,7 +157,7 @@ def _paired_runs(N, T, dt, gamma=1.4, nu=3.0, amp=0.2, nsnap=None, a_amp=0.0):
     a0 = forward_transform(a_amp * np.cos(x) + np.zeros(g.shape), g)
     v0 = taylor_green(g) + forward_transform(
         np.stack([amp * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
-    params = PhysicalParams.from_nu(1.0, nu, gamma)
+    params = PhysicalParams(mu=1.0, nu=nu, gamma=gamma)
     cfg = StepperConfig(fixed_dt=dt)
     nsnap = nsnap or (int(round(T / dt)) + 1)
     snaps = np.linspace(0.0, T, nsnap)
@@ -171,7 +171,7 @@ def _paired_runs(N, T, dt, gamma=1.4, nu=3.0, amp=0.2, nsnap=None, a_amp=0.0):
 def test_norm_ledger_zero_trajectories():
     g = _grid()
     b = build_partition(g)
-    params = PhysicalParams(mu=1.0, lam=0.0)
+    params = PhysicalParams(mu=1.0, nu=2.0)
     times = [0.0, 0.1, 0.2]
     states = [FlowState(zeros(g), zeros(g, vector=True), t) for t in times]
     traj = Trajectory(list(times), states, [], "horizon")
@@ -185,7 +185,7 @@ def test_norm_ledger_udiff_zero():
     # v = V pointwise: X = Y = Z = W = 0 while Vcal > 0
     g = _grid()
     b = build_partition(g)
-    params = PhysicalParams(mu=1.0, lam=0.0)
+    params = PhysicalParams(mu=1.0, nu=2.0)
     cfg = StepperConfig(fixed_dt=0.01)
     T = 0.1
     snaps = np.linspace(0.0, T, 11)
@@ -206,7 +206,7 @@ def test_norm_ledger_hand_oracle_constant_fields():
     g = _grid()
     b = build_partition(g)
     nu = 8.0
-    params = PhysicalParams.from_nu(1.0, nu)
+    params = PhysicalParams(mu=1.0, nu=nu)
     x, y = g.meshes()
     a = forward_transform(0.01 * np.cos(4 * x) + np.zeros(g.shape), g)
     qu = forward_transform(
@@ -256,7 +256,7 @@ def test_norm_ledger_monotone_columns():
 def test_norm_ledger_warns_outside_p_range():
     g = _grid()
     b = build_partition(g)
-    params = PhysicalParams(mu=1.0, lam=0.0)
+    params = PhysicalParams(mu=1.0, nu=2.0)
     times = [0.0, 0.1]
     states = [FlowState(zeros(g), zeros(g, vector=True), t) for t in times]
     traj = Trajectory(list(times), states, [], "horizon")
@@ -271,7 +271,7 @@ def test_limit_error_identical_trajectories():
     V = taylor_green(g)
     states = [FlowState(zeros(g), V, t) for t in times]
     traj = Trajectory(list(times), states, [], "horizon")
-    err = limit_error(traj, traj, 2.0, b, mu=1.0, nu=10.0)
+    err = limit_error(traj, traj, PhysicalParams(mu=1.0, nu=10.0), 2.0, b)
     assert err.err_density == 0.0
     assert err.err_sup <= 1e-14
     assert err.err_grad_l1 <= 1e-14
@@ -294,7 +294,7 @@ def test_limit_error_injected_perturbation():
     cns_states = [FlowState(zeros(g), V + pert, t) for t in times]
     ins = Trajectory(list(times), ins_states, [], "horizon")
     cns = Trajectory(list(times), cns_states, [], "horizon")
-    err = limit_error(cns, ins, 2.0, b, mu=1.0, nu=10.0)
+    err = limit_error(cns, ins, PhysicalParams(mu=1.0, nu=10.0), 2.0, b)
     scalar = forward_transform(np.cos(x) + np.zeros(g.shape), g)
     want = delta * besov_norm(scalar, BesovIndex(0.0, 2, 1), b)
     assert err.err_sup == pytest.approx(want, rel=1e-12)
@@ -313,7 +313,7 @@ def test_limit_error_requires_zero_initial_density():
     ins = Trajectory(list(times), [FlowState(zeros(g), V, t) for t in times],
                      [], "horizon")
     with pytest.raises(SpectralError):
-        limit_error(cns, ins, 2.0, b, 1.0, 10.0)
+        limit_error(cns, ins, PhysicalParams(mu=1.0, nu=10.0), 2.0, b)
 
 
 def _ledger_reference(traj_cns, traj_ins, params, p, b):
@@ -408,7 +408,7 @@ def test_decompose_series_feeds_every_consumer():
     for p in (2.0, 3.0):
         _assert_ledger_matches_reference(traj_cns, traj_ins, params, p, b)
 
-    err = limit_error(traj_cns, traj_ins, 2.0, b, params.mu, params.nu)
+    err = limit_error(traj_cns, traj_ins, params, 2.0, b)
     sups = [besov_norm(leray_project(c.v) - r.v, BesovIndex(0.0, 2, 1), b)
             for c, r in zip(traj_cns.states, traj_ins.states)]
     assert err.err_sup == pytest.approx(max(sups), rel=1e-13)
@@ -420,7 +420,7 @@ def _ledger_peak_bytes(nsnap):
     parts both nonempty)."""
     g = _grid()
     b = build_partition(g)
-    params = PhysicalParams.from_nu(1.0, 0.5, 1.4)
+    params = PhysicalParams(mu=1.0, nu=0.5, gamma=1.4)
     a, q, V = _rand_scal(g, 30) * 0.1, _rand_vec(g, 31), leray_project(_rand_vec(g, 32))
     times = np.linspace(0.0, 1.0, nsnap)
     cns = Trajectory(list(times), [FlowState(a * math.sin(t), V * math.cos(t)

@@ -97,7 +97,7 @@ def test_stepped_state_file_holds_the_whole_lattice(tmp_path, d, N):
     rng = np.random.default_rng(4)
     a, v = random_field(g, rng), random_field(g, rng, vector=True)
     a, v = a * (0.3 / lp_norm(a, np.inf)), v * (0.5 / lp_norm(v, np.inf))
-    st = step_cns(FlowState(a, v, 0.0), PhysicalParams(mu=0.7, lam=1.3, gamma=1.4),
+    st = step_cns(FlowState(a, v, 0.0), PhysicalParams(mu=0.7, nu=2.7, gamma=1.4),
                   2e-3)
     path = tmp_path / "s.snap"
     for f in (st.a, st.v):

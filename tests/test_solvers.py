@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -85,22 +86,29 @@ def _linear_flow(monkeypatch):
 
 
 def test_params_validation():
-    p = PhysicalParams(mu=1.0, lam=3.0, gamma=1.4)
-    assert p.nu == pytest.approx(5.0)
+    p = PhysicalParams(mu=1.0, nu=5.0, gamma=1.4)
+    assert p.nu == 5.0 and p.lam == 3.0
     with pytest.raises(SpectralError):
-        PhysicalParams(mu=-1.0, lam=0.0)
+        PhysicalParams(mu=-1.0, nu=-2.0)
     with pytest.raises(SpectralError):
-        PhysicalParams(mu=0.5, lam=-2.0)  # nu = -1
+        PhysicalParams(mu=0.5, nu=-1.0)
     with pytest.raises(SpectralError):
-        PhysicalParams(mu=1.0, lam=0.0, gamma=0.5)
+        PhysicalParams(mu=1.0, nu=2.0, gamma=0.5)
     # NaN passes every <= comparison; infinities are not viscosities
-    for kwargs in ({"mu": math.nan, "lam": 0.0}, {"mu": 1.0, "lam": math.nan},
-                   {"mu": 1.0, "lam": 0.0, "gamma": math.nan},
-                   {"mu": math.inf, "lam": 0.0}, {"mu": 1.0, "lam": math.inf}):
+    for kwargs in ({"mu": math.nan, "nu": 2.0}, {"mu": 1.0, "nu": math.nan},
+                   {"mu": 1.0, "nu": 2.0, "gamma": math.nan},
+                   {"mu": math.inf, "nu": 2.0}, {"mu": 1.0, "nu": math.inf}):
         with pytest.raises(SpectralError):
             PhysicalParams(**kwargs)
-    q = PhysicalParams.from_nu(1.0, 40.0)
-    assert q.nu == pytest.approx(40.0) and q.lam == pytest.approx(38.0)
+    q = PhysicalParams(mu=1.0, nu=40.0)
+    assert q.nu == 40.0 and q.lam == 38.0
+
+
+def test_params_store_the_total_viscosity_exactly():
+    # 0.3 - 2 + 2 is 0.30000000000000004: nu is stored, not rebuilt from lambda
+    p = PhysicalParams(mu=1.0, nu=0.3)
+    assert p.nu == 0.3 and p.lam == 0.3 - 2.0
+    assert [f.name for f in fields(PhysicalParams)] == ["mu", "nu", "gamma"]
 
 
 def test_stepper_config_validation():
@@ -147,7 +155,7 @@ def test_run_vacuum_guard_reports_the_state_time():
     g = _grid()
     x, _ = g.meshes()
     a0 = forward_transform(-0.95 * np.cos(x) + np.zeros(g.shape), g)
-    params = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
+    params = PhysicalParams(mu=1.0, nu=2.0, gamma=1.4)
     traj = run(FlowState(a0, zeros(g, vector=True), 0.3), params, StepperConfig(), 1.0)
     assert traj.terminated == "blowup"
     blowups = [(t, ev) for t, ev in traj.events if ev.startswith("blowup:")]
@@ -241,7 +249,7 @@ def test_acoustic_propagator_matches_a_50_digit_reference():
 
 def test_step_cns_zero_state():
     g = _grid()
-    params = PhysicalParams(mu=1.0, lam=0.0)
+    params = PhysicalParams(mu=1.0, nu=2.0)
     st = FlowState(zeros(g), zeros(g, vector=True), 0.0)
     out = step_cns(st, params, 0.01)
     assert lp_norm(out.a, 2) == 0.0 and lp_norm(out.v, 2) == 0.0
@@ -255,7 +263,7 @@ def test_step_cns_acoustic_mode_matches_eigen_oracle(monkeypatch):
     x, _ = g.meshes()
     eps = 1e-3
     a0 = forward_transform(eps * np.cos(x) + np.zeros(g.shape), g)
-    params = PhysicalParams(mu=1.0, lam=1.0, gamma=1.0)  # nu = 3
+    params = PhysicalParams(mu=1.0, nu=3.0, gamma=1.0)
     st = FlowState(a0, zeros(g, vector=True), 0.0)
     dt = 0.37
     _linear_flow(monkeypatch)
@@ -278,7 +286,7 @@ def test_step_cns_small_amplitude_matches_ins():
     g = make_grid(2, 32)
     amp = 1e-4
     v0 = taylor_green(g, amp)
-    params = PhysicalParams(mu=1.0, lam=0.0, gamma=2.0)
+    params = PhysicalParams(mu=1.0, nu=2.0, gamma=2.0)
     dt = 0.01
     cns = step_cns(FlowState(zeros(g), v0, 0.0), params, dt)
     ins = step_ins(FlowState(zeros(g), v0, 0.0), params.mu, dt)
@@ -294,7 +302,7 @@ def test_step_cns_conserves_mass_1000_steps():
     a0 = dealias(forward_transform(0.05 * rng.standard_normal(g.shape), g))
     a0 = a0 - a0.mean() + 0.01
     v0 = taylor_green(g, 0.5)
-    params = PhysicalParams(mu=0.5, lam=1.0, gamma=1.4)
+    params = PhysicalParams(mu=0.5, nu=2.0, gamma=1.4)
     st = FlowState(a0, v0, 0.0)
     m0 = st.a.mean()
     for _ in range(1000):
@@ -304,7 +312,7 @@ def test_step_cns_conserves_mass_1000_steps():
 
 def test_step_cns_3d_smoke():
     g = make_grid(3, 8)
-    params = PhysicalParams(mu=1.0, lam=0.0, gamma=1.4)
+    params = PhysicalParams(mu=1.0, nu=2.0, gamma=1.4)
     st = FlowState(zeros(g), taylor_green(g, 0.3), 0.0)
     for _ in range(5):
         st = step_cns(st, params, 5e-3)
@@ -463,7 +471,7 @@ def test_run_records_only_states_on_the_box(system):
     if system == "ins":
         v0 = leray_project(v0)
     assert _outside_box(a0).any() and _outside_box(v0).any()
-    traj = run(FlowState(a0, v0, 0.0), PhysicalParams(mu=1.0, lam=2.0, gamma=1.4),
+    traj = run(FlowState(a0, v0, 0.0), PhysicalParams(mu=1.0, nu=4.0, gamma=1.4),
                StepperConfig(), 0.05, system=system)
     assert traj.terminated == "horizon" and len(traj.states) > 2
     assert np.array_equal(traj.states[0].a.coeffs, dealias(a0).coeffs)
@@ -477,7 +485,7 @@ def test_run_drops_non_finite_data_outside_the_box():
     c = taylor_green(g).coeffs.copy()
     c[0, 0, -1] = np.nan  # the Nyquist column, outside the box
     traj = run(FlowState(zeros(g), SpectralField(g, c), 0.0),
-               PhysicalParams(mu=1.0, lam=0.0), StepperConfig(fixed_dt=0.01), 0.02)
+               PhysicalParams(mu=1.0, nu=2.0), StepperConfig(fixed_dt=0.01), 0.02)
     assert traj.terminated == "horizon"
     assert all(np.isfinite(st.v.coeffs).all() for st in traj.states)
 
@@ -486,7 +494,7 @@ def test_run_drops_non_finite_data_outside_the_box():
 def test_steps_drop_input_outside_the_box(d, N):
     a, v = _random_state(d, N)
     V = leray_project(v)
-    params = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4)
+    params = PhysicalParams(mu=0.7, nu=2.7, gamma=1.4)
     got = step_cns(FlowState(a, v * 0.3, 0.0), params, 1e-3)
     want = step_cns(FlowState(dealias(a), dealias(v * 0.3), 0.0), params, 1e-3)
     assert np.array_equal(got.a.coeffs, want.a.coeffs)
@@ -500,7 +508,7 @@ def test_steps_drop_input_outside_the_box(d, N):
 
 def test_run_zero_data():
     g = _grid()
-    params = PhysicalParams(mu=1.0, lam=0.0)
+    params = PhysicalParams(mu=1.0, nu=2.0)
     traj = run(FlowState(zeros(g), zeros(g, vector=True), 0.0), params,
                StepperConfig(dt_max=0.05), 0.3)
     assert traj.terminated == "horizon"
@@ -510,7 +518,7 @@ def test_run_zero_data():
 
 def test_run_taylor_green_energy_decay():
     g = make_grid(2, 32)
-    params = PhysicalParams(mu=1.0, lam=0.0)
+    params = PhysicalParams(mu=1.0, nu=2.0)
     v0 = taylor_green(g)
     traj = run(FlowState(zeros(g), v0, 0.0), params,
                StepperConfig(cfl=0.4, dt_max=0.05), 1.0, system="ins")
@@ -523,7 +531,7 @@ def test_run_blowup_recorded():
     g = _grid()
     x, _ = g.meshes()
     a0 = forward_transform(0.95 * np.cos(x) + np.zeros(g.shape), g)
-    params = PhysicalParams(mu=1.0, lam=0.0)
+    params = PhysicalParams(mu=1.0, nu=2.0)
     traj = run(FlowState(a0, zeros(g, vector=True), 0.0), params,
                StepperConfig(dt_max=0.01), 1.0)
     assert traj.terminated == "blowup"
@@ -532,7 +540,7 @@ def test_run_blowup_recorded():
 
 def test_run_hits_snapshot_times():
     g = _grid()
-    params = PhysicalParams(mu=1.0, lam=0.0)
+    params = PhysicalParams(mu=1.0, nu=2.0)
     v0 = taylor_green(g, 0.1)
     snap = np.linspace(0.0, 0.2, 5)
     traj = run(FlowState(zeros(g), v0, 0.0), params,
@@ -545,7 +553,7 @@ def _terminal_state(dt, T=0.25, N=32):
     x, _ = g.meshes()
     v0 = taylor_green(g) + forward_transform(
         np.stack([0.3 * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
-    params = PhysicalParams(mu=1.0, lam=2.0, gamma=1.4)
+    params = PhysicalParams(mu=1.0, nu=4.0, gamma=1.4)
     cfg = StepperConfig(fixed_dt=dt)
     traj = run(FlowState(zeros(g), v0, 0.0), params, cfg, T)
     s = traj.final()
@@ -570,7 +578,7 @@ def test_linearized_effective_velocity_high_band_decay(monkeypatch):
     a0 = forward_transform(0.01 * np.cos(4 * x) + np.zeros(g.shape), g)
     v0 = forward_transform(
         np.stack([0.01 * np.sin(4 * x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
-    params = PhysicalParams(mu=1.0, lam=6.0)  # nu = 8, bands of |k|=4 all high
+    params = PhysicalParams(mu=1.0, nu=8.0)  # bands of |k|=4 all high
     _linear_flow(monkeypatch)
     cfg = StepperConfig(fixed_dt=0.005)
     st = FlowState(a0, v0, 0.0)
@@ -597,7 +605,7 @@ def test_linear_single_mode_density_peak_is_one_over_nu(monkeypatch):
     peaks = []
     _linear_flow(monkeypatch)
     for nu in (10.0, 40.0, 160.0, 640.0):
-        traj = run(FlowState(zeros(g), v0, 0.0), PhysicalParams.from_nu(1.0, nu),
+        traj = run(FlowState(zeros(g), v0, 0.0), PhysicalParams(mu=1.0, nu=nu),
                    StepperConfig(), 2.0, snap_times=snap)
         assert traj.terminated == "horizon"
         assert np.max(np.abs(np.asarray(traj.times) - snap)) <= 1e-10
@@ -649,7 +657,7 @@ def _half(c):
 @pytest.mark.parametrize("gamma", [1.0, 1.4, 2.0])
 def test_cns_tendency_matches_product_chain(d, N, gamma):
     a, v = _random_state(d, N)
-    params = PhysicalParams(mu=0.7, lam=1.3, gamma=gamma)
+    params = PhysicalParams(mu=0.7, nu=2.7, gamma=gamma)
     ws = _workspace(a.grid)
     n = ws.scatter(_cns_tendency(ws, ws.gather(np.concatenate([a.coeffs[None], v.coeffs])),
                                  params))
@@ -678,7 +686,7 @@ def test_cns_tendency_transforms_the_rotational_form_fields(d, N, gamma):
     a, v = _random_state(d, N)
     ws, rows = _counting_workspace(a.grid)
     _cns_tendency(ws, ws.gather(np.concatenate([a.coeffs[None], v.coeffs])),
-                  PhysicalParams(mu=0.7, lam=1.3, gamma=gamma))
+                  PhysicalParams(mu=0.7, nu=2.7, gamma=gamma))
     ncoeff, grad_a = (1, 0) if gamma == 2.0 else (2, d)
     assert rows["inverse"] == [{2: 6, 3: 10}[d] + grad_a, ncoeff]
     assert rows["forward"] == [ncoeff, {2: 5, 3: 7}[d]]
@@ -791,7 +799,7 @@ def _whole_lattice_step_cns(state, params, dt):
 def test_step_cns_matches_the_whole_lattice_step(d, N, gamma):
     a, v = _random_state(d, N)
     st = FlowState(a * 0.5, v * 0.3, 0.0)
-    params = PhysicalParams(mu=0.7, lam=1.3, gamma=gamma)
+    params = PhysicalParams(mu=0.7, nu=2.7, gamma=gamma)
     for _ in range(3):
         got = step_cns(st, params, 2e-3)
         want_a, want_v = _whole_lattice_step_cns(
@@ -844,7 +852,7 @@ def test_workspace_gather_then_scatter_is_the_dealias_mask(d, N):
 def test_results_never_alias_the_workspace(d, N):
     a, v = _random_state(d, N)
     V = leray_project(v)
-    params = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4)
+    params = PhysicalParams(mu=0.7, nu=2.7, gamma=1.4)
     ws = _workspace(a.grid)
     b = build_partition(a.grid)
 
@@ -875,7 +883,7 @@ def test_guard_bounds_equal_the_pointwise_maxima(d, N):
     # tendency, or from the kept block's own inverse at the horizon
     a, v = _random_state(d, N)
     ws = _workspace(a.grid)
-    params, cfg = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4), StepperConfig()
+    params, cfg = PhysicalParams(mu=0.7, nu=2.7, gamma=1.4), StepperConfig()
     for scale in (0.5, -2.0):
         st = FlowState(a * scale, v, 0.0)
         a_s, v_s = inverse_transform(dealias(st.a)), inverse_transform(dealias(st.v))
@@ -891,7 +899,7 @@ def test_guard_bounds_equal_the_pointwise_maxima(d, N):
 def test_cached_propagator_steps_bit_identical_to_fresh_build():
     a, v = _random_state(2, 32)
     st = FlowState(a * 0.5, v * 0.3, 0.0)
-    params = PhysicalParams(mu=1.0, lam=8.0, gamma=1.4)
+    params = PhysicalParams(mu=1.0, nu=10.0, gamma=1.4)
     _propagator.cache_clear()
     fresh = step_cns(st, params, 3e-3)
     hits = _propagator.cache_info().hits
@@ -971,7 +979,7 @@ def test_run_guards_the_state_of_its_last_step(monkeypatch):
         with monkeypatch.context() as m:
             if linear:
                 _linear_flow(m)
-            traj = run(FlowState(zeros(g), v0, 0.0), PhysicalParams(mu=1.0, lam=0.0),
+            traj = run(FlowState(zeros(g), v0, 0.0), PhysicalParams(mu=1.0, nu=2.0),
                        StepperConfig(fixed_dt=0.2), 0.2)
         assert traj.terminated == "blowup"
         assert traj.times == [0.0]  # the bad state is not recorded
@@ -1020,10 +1028,10 @@ def _guard_cases():
     x, _ = g.meshes()
     squeeze = forward_transform(
         np.stack([-10.0 * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
-    params = PhysicalParams(mu=0.7, lam=1.3, gamma=1.4)
+    params = PhysicalParams(mu=0.7, nu=2.7, gamma=1.4)
     return [(FlowState(a, v * 0.5, 0.1), params, StepperConfig(), 0.14, "cns"),
             (FlowState(a, leray_project(v), 0.1), params, StepperConfig(), 0.14, "ins"),
-            (FlowState(zeros(g), squeeze, 0.0), PhysicalParams(mu=1.0, lam=0.0),
+            (FlowState(zeros(g), squeeze, 0.0), PhysicalParams(mu=1.0, nu=2.0),
              StepperConfig(cfl=0.9), 0.5, "cns")]
 
 
@@ -1073,7 +1081,7 @@ def test_run_inverts_each_state_once(monkeypatch, case):
 def test_run_ends_on_velocity_overflow(system):
     g = _grid()
     traj = run(FlowState(zeros(g), taylor_green(g, 1e9), 0.0),
-               PhysicalParams(mu=1.0, lam=0.0), StepperConfig(), 0.1, system=system)
+               PhysicalParams(mu=1.0, nu=2.0), StepperConfig(), 0.1, system=system)
     assert traj.terminated == "blowup"
     assert traj.times == [0.0]
     assert (0.0, "blowup:velocity magnitude overflow") in traj.events
@@ -1086,7 +1094,7 @@ def test_incompressible_run_with_nan_ends_blowup():
     st = FlowState(zeros(g), SpectralField(g, c), 0.0)
     with pytest.raises(BlowupError, match="non-finite"):
         step_ins(st, 1.0, 0.01)
-    traj = run(st, PhysicalParams(mu=1.0, lam=0.0), StepperConfig(), 0.1,
+    traj = run(st, PhysicalParams(mu=1.0, nu=2.0), StepperConfig(), 0.1,
                system="ins")
     assert traj.terminated == "blowup"
     assert traj.times == [0.0]  # no non-finite state is stepped to or recorded
@@ -1100,7 +1108,7 @@ def test_package_and_one_step_do_not_import_scipy():
             "from bcns.spectral import make_grid, zeros\n"
             "g = make_grid(2, 16)\n"
             "step_cns(FlowState(zeros(g), taylor_green(g), 0.0),"
-            " PhysicalParams(mu=1.0, lam=0.0, gamma=1.4), 1e-3)\n"
+            " PhysicalParams(mu=1.0, nu=2.0, gamma=1.4), 1e-3)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -267,20 +267,27 @@ def _lp_norm_oracle(samples, p):
     return math.exp((top + math.log(np.sum(np.exp(logs - top))) - math.log(logs.size)) / p)
 
 
-@pytest.mark.parametrize("amp, p", [(amp, p) for amp in (1e-3, 1e3)
-                                    for p in (120.0, 400.0, 1e300)]
-                         + [(1e-160, 2.0)])
-def test_lp_norm_stays_exact_where_the_powers_leave_the_float_range(amp, p):
-    # (1e-3)^120 and (1e-160)^2 underflow, (1e3)^120 overflows
+@pytest.mark.parametrize("amp, p, vector", [
+    pytest.param(amp, p, vector, id=f"{'vector-' * vector}{amp}-{p}")
+    for amp, p, vector in [(amp, p, False) for amp in (1e-3, 1e3)
+                           for p in (120.0, 400.0, 1e300)]
+    + [(1e-160, 2.0, False)]
+    + [(amp, p, True) for amp in (1e-170, 1e160, 1e200) for p in (2.0, 4.0, math.inf)]])
+def test_lp_norm_stays_exact_where_the_powers_leave_the_float_range(amp, p, vector):
+    # (1e-3)^120 and (1e-160)^2 underflow, (1e3)^120 overflows; a vector's
+    # squared magnitude underflows at 1e-170 and overflows at 1e160 and 1e200
     g = make_grid(2, 16)
     x, _ = g.meshes()
     samples = amp * np.cos(x) + np.zeros(g.shape)
-    f = forward_transform(samples, g)
-    with warnings.catch_warnings():
+    f = forward_transform(np.stack([samples, np.zeros(g.shape)]) if vector else samples, g)
+    # the overflowing square of the magnitude warns, as bcns.main silences
+    with warnings.catch_warnings(), np.errstate(over="ignore" if vector else "warn"):
         warnings.simplefilter("error")
         got = lp_norm(f, p)
-    assert got == pytest.approx(_lp_norm_oracle(samples, p), rel=1e-12, abs=0)
-    assert 0.7 * amp < got <= amp  # ||cos x||_p: 2^-1/2 at p = 2, 1 at p = inf
+    want = np.max(np.abs(samples)) if math.isinf(p) else _lp_norm_oracle(samples, p)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+    # ||cos x||_p: 2^-1/2 at p = 2, 1 at p = inf (the transforms' roundoff above)
+    assert 0.7 * amp < got <= amp * (1 + 1e-15)
 
 
 @pytest.mark.parametrize("vector", [False, True])

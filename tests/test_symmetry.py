@@ -24,7 +24,7 @@ from bcns.lemmas import random_field
 from bcns.solvers import FlowState, PhysicalParams, StepperConfig, run
 from bcns.spectral import forward_transform, inverse_transform, lp_norm, make_grid
 
-PARAMS = PhysicalParams.from_nu(1.0, 10.0, gamma=1.4)
+PARAMS = PhysicalParams(mu=1.0, nu=10.0, gamma=1.4)
 CONFIG = StepperConfig(fixed_dt=0.005)
 HORIZON = 20 * 0.005
 GRIDS = [(2, 32), (3, 16)]
@@ -146,8 +146,7 @@ def _limit_error(name=None):
     # the sweep's metric of a (cns, ins) pair whose compressible run has a_0 = 0
     cns = _trajectory(2, 32, "cns", name, at_rest=True)
     ins = _trajectory(2, 32, "ins", name)
-    err = limit_error(cns, ins, 3.0, build_partition(cns.final().v.grid),
-                      PARAMS.mu, PARAMS.nu)
+    err = limit_error(cns, ins, PARAMS, 3.0, build_partition(cns.final().v.grid))
     return vars(err)
 
 
