@@ -100,8 +100,13 @@ class RunConfig:
 
     def params(self, nu: float | None = None) -> PhysicalParams:
         """The physical parameters at ``nu``, by default the configured one."""
-        if nu is None:
-            nu = 2.0 * self.mu if self.nu is None else self.nu
+        if nu is None and self.nu is None:
+            nu = 2.0 * self.mu
+            if nu == math.inf and self.mu < math.inf:
+                raise SpectralError(f"shear viscosity mu={self.mu} puts the default "
+                                    "nu = 2 mu above the float range; set nu")
+        elif nu is None:
+            nu = self.nu
         return PhysicalParams(self.mu, nu, self.gamma)
 
     def stepper(self) -> StepperConfig:

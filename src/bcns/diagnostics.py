@@ -26,7 +26,7 @@ from .bands import (
     besov_sum,
     split_low_high,
 )
-from .calculus import compressible_project, leray_project
+from .calculus import compressible_project
 from .solvers import PhysicalParams, Trajectory
 from .spectral import SpectralError, gradient
 
@@ -69,43 +69,25 @@ def _with_time_derivatives(times, fields):
         yield nxt, (nxt - cur) * (1.0 / dt)
 
 
-@dataclass
-class DecompositionSeries:
-    """The decomposition of a compressible run against its incompressible
-    reference on the shared snapshot times: the states' ``a``, ``V`` and
-    ``v`` (references, not copies), and ``u = v - V``, ``Qu``, ``Pu`` as
-    generators over the snapshots, so nothing derived is kept.  Time
-    derivatives come from :func:`_with_time_derivatives` over a series."""
-
-    times: np.ndarray
-    a: list
-    V: list
-    v: list         # compressible velocity
-
-    @property
-    def u(self):
-        return (v - V for v, V in zip(self.v, self.V))
-
-    @property
-    def Qu(self):
-        return map(compressible_project, self.u)
-
-    @property
-    def Pu(self):
-        return map(leray_project, self.u)
-
-
-def decompose(traj_cns: Trajectory, traj_ins: Trajectory) -> DecompositionSeries:
-    """The decomposition series of two trajectories on their shared
-    snapshot times."""
+def decompose(traj_cns: Trajectory, traj_ins: Trajectory) -> tuple:
+    """The shared snapshot times of two trajectories and a generator of one
+    row per snapshot, ``(a, Qu, Qu_t, Pu, Pu_t, V, V_t)``.  ``u = v - V``
+    and ``V`` each pass through one :func:`_with_time_derivatives` window;
+    ``u`` and ``u_t`` are projected once each, and ``Pu = u - Qu``."""
     ta = np.asarray(traj_cns.times)
     tb = np.asarray(traj_ins.times)
     n = min(len(ta), len(tb))
     if n < 2 or np.max(np.abs(ta[:n] - tb[:n])) > 1e-9:
         raise SpectralError("trajectories do not share snapshot times")
-    return DecompositionSeries(ta[:n], [st.a for st in traj_cns.states[:n]],
-                               [st.v for st in traj_ins.states[:n]],
-                               [st.v for st in traj_cns.states[:n]])
+    times, cns, ins = ta[:n], traj_cns.states[:n], traj_ins.states[:n]
+
+    def rows():
+        u = _with_time_derivatives(times, (c.v - r.v for c, r in zip(cns, ins)))
+        V = _with_time_derivatives(times, (r.v for r in ins))
+        for st, (u_i, u_t), (V_i, V_t) in zip(cns, u, V):
+            Qu, Qu_t = compressible_project(u_i), compressible_project(u_t)
+            yield st.a, Qu, Qu_t, u_i - Qu, u_t - Qu_t, V_i, V_t
+    return times, rows()
 
 
 def _trapezoid_running(times, values):
@@ -121,13 +103,13 @@ class NormLedger:
 
     ``X``/``Z`` (and the sup parts generally) are running maxima, the
     ``Y``/``W`` blocks running trapezoidal time integrals, so every column
-    is nondecreasing by construction.  ``Vcal`` is the same three-block
-    functional of the reference flow whose full-horizon value is ``M``:
-    a sup of the ``-1 + d/p`` norm plus time integrals of the ``1 + d/p``
-    norm (weighted by ``mu``) and of the ``-1 + d/p`` norm of the time
-    derivative.  ``smallness_lhs``/``smallness_rhs`` report the two sides of
-    the data-smallness threshold (with unit constants); they are reported,
-    never enforced.
+    is nondecreasing by construction.  ``Z``/``W`` of ``Pu`` and the two
+    parts of ``Vcal`` of the reference flow follow one rule: a sup of the
+    ``-1 + d/p`` norm, and time integrals of the ``1 + d/p`` norm weighted
+    by ``mu`` and of the ``-1 + d/p`` norm of the time derivative.  ``M`` is
+    ``Vcal`` at the horizon, ``Vcal(T)``.  ``smallness_lhs``/``smallness_rhs``
+    report the two sides of the data-smallness threshold (with unit
+    constants); they are reported, never enforced.
     """
 
     times: np.ndarray
@@ -156,8 +138,7 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
         warnings.warn(f"integrability p={p} outside the supported range "
                       f"[2, {p_cap}) for d={d}; computing anyway",
                       stacklevel=2)
-    S = decompose(traj_cns, traj_ins)
-    times = S.times
+    times, snapshots = decompose(traj_cns, traj_ins)
     nu, mu = params.nu, params.mu
 
     low2 = BesovIndex(-1.0 + d / 2.0, 2.0, 1.0)     # low-frequency base index
@@ -182,9 +163,7 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
                 besov_norm(Pu_t, vp, bands), besov_norm(V_t, vp, bands))
 
     # one pass over the snapshots: (snapshot x series x band) tables
-    pairs = (_with_time_derivatives(times, f) for f in (S.Qu, S.Pu, S.V))
-    lo, hi, pu_t, big_vt = (np.array(c) for c in zip(*(
-        rows(a, *qu, *pu, *v) for a, qu, pu, v in zip(S.a, *pairs))))
+    lo, hi, pu_t, big_vt = (np.array(c) for c in zip(*(rows(*r) for r in snapshots)))
     a_lo, ga_lo, qu_lo, dmp_lo = lo.swapaxes(0, 1)
     a_hi, qu_hi, dmp_hi, pu, big_v = hi.swapaxes(0, 1)
 
@@ -196,13 +175,17 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
                            + nu * norm(qu_lo, low2_hi) + norm(a_hi, hp)
                            + nu * norm(qu_hi, vp_hi) + norm(dmp_lo, low2)
                            + norm(dmp_hi, vp))
-    Z = np.maximum.accumulate(norm(pu, vp))
-    W = _trapezoid_running(times, pu_t + norm(pu, vp_hi))
-    v_sup = norm(big_v, vp)
-    Vcal = (np.maximum.accumulate(v_sup)
-            + _trapezoid_running(times, big_vt + norm(big_v, vp_hi)))
-    M = float(np.max(v_sup)
-              + _trapezoid_running(times, big_vt + mu * norm(big_v, vp_hi))[-1])
+
+    def sup_and_integral(table, dt_norms):
+        """Running sup of the ``-1 + d/p`` norm; running integral of ``mu``
+        times the ``1 + d/p`` norm plus the time derivative's norm."""
+        return (np.maximum.accumulate(norm(table, vp)),
+                _trapezoid_running(times, dt_norms + mu * norm(table, vp_hi)))
+
+    Z, W = sup_and_integral(pu, pu_t)
+    v_sup, v_int = sup_and_integral(big_v, big_vt)
+    Vcal = v_sup + v_int
+    M = float(Vcal[-1])
 
     q0 = split_low_high(compressible_project(traj_cns.states[0].v), nu, bands)
     (q0_lo,), (q0_hi,) = band_table(q0[:1], 2.0, bands), band_table(q0[1:], p, bands)
@@ -236,16 +219,15 @@ def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, params: PhysicalPara
     ``int ||Pv_t - V_t||_{B^{-1+d/p}_{p,1}} dt``.  Requires ``a_0 = 0`` in
     the compressible run and shared snapshot times.
     """
-    S = decompose(traj_cns, traj_ins)
+    times, snapshots = decompose(traj_cns, traj_ins)
     d, mu = bands.grid.d, params.mu
     hp = BesovIndex(d / p, p, 1.0)
     vp = BesovIndex(-1.0 + d / p, p, 1.0)
     vp_hi = BesovIndex(1.0 + d / p, p, 1.0)
 
     # (snapshot x series x band), one snapshot's fields at a time
-    fields = (f for a, (Pu, Pu_t) in zip(S.a, _with_time_derivatives(S.times, S.Pu))
-              for f in (a, Pu, Pu_t))
-    table = band_table(fields, p, bands).reshape(len(S.times), 3, -1)
+    fields = (f for a, _, _, Pu, Pu_t, _, _ in snapshots for f in (a, Pu, Pu_t))
+    table = band_table(fields, p, bands).reshape(len(times), 3, -1)
     dens, pu, pu_t = table.swapaxes(0, 1)
     dens = besov_sum(dens, hp, bands)
     if dens[0] > 1e-12:
@@ -256,8 +238,8 @@ def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, params: PhysicalPara
     return LimitError(
         err_density=math.sqrt(params.nu / mu) * float(np.max(dens)),
         err_sup=float(np.max(sups)),
-        err_grad_l1=mu * float(np.trapezoid(grads, S.times)),
-        err_dt_l1=float(np.trapezoid(dts, S.times)),
+        err_grad_l1=mu * float(np.trapezoid(grads, times)),
+        err_dt_l1=float(np.trapezoid(dts, times)),
     )
 
 

@@ -21,19 +21,13 @@ import functools
 
 import numpy as np
 
-from .spectral import SpectralField, SpectralError, make_grid
+from .spectral import SpectralField, SpectralError, _negated, make_grid
 
 MAGIC = "BCNS1"
 
 
 class SnapshotError(SpectralError):
     """Malformed snapshot file."""
-
-
-def _negated(whole: np.ndarray, d: int) -> np.ndarray:
-    """``c(-k)`` of a whole-lattice stack."""
-    axes = tuple(range(-d, 0))
-    return np.roll(np.flip(whole, axes), 1, axes)
 
 
 def write_snapshot(path, f: SpectralField, t: float) -> None:
@@ -43,7 +37,7 @@ def write_snapshot(path, f: SpectralField, t: float) -> None:
     h = g.N // 2 + 1
     whole = np.zeros(f.coeffs.shape[:-1] + (g.N,), dtype="<c16")
     whole[..., :h] = f.coeffs
-    whole[..., h:] = np.conj(_negated(whole, g.d)[..., h:])
+    whole[..., h:] = np.conj(_negated(whole, tuple(range(-g.d, 0)))[..., h:])
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(whole.tobytes())
@@ -85,7 +79,7 @@ def read_snapshot(path) -> tuple[SpectralField, float]:
     inside = np.meshgrid(*[np.abs(np.fft.fftfreq(N, 1.0 / N)) < N / 3.0] * d,
                          indexing="ij", sparse=True)
     box = whole * functools.reduce(np.logical_and, inside)
-    defect = float(np.max(np.abs(_negated(box, d) - np.conj(box))))
+    defect = float(np.max(np.abs(_negated(box, tuple(range(-d, 0))) - np.conj(box))))
     scale = float(np.max(np.abs(box)))
     if defect > 1e-12 * scale:
         raise SnapshotError(

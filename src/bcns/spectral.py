@@ -468,6 +468,11 @@ def _power_mean(s: np.ndarray, p: float) -> float:
     return float(m ** (1.0 / p)) if _TINY <= m < math.inf else math.nan
 
 
+def _negated(c: np.ndarray, axes: tuple) -> np.ndarray:
+    """``c(-k)`` over the FFT-ordered frequency ``axes``."""
+    return np.roll(np.flip(c, axes), 1, axes)
+
+
 def _mode_energy(f: SpectralField) -> np.ndarray:
     """Parseval weight ``w_k |c_k|^2`` of each mode of the flat half spectrum,
     summed over components: ``w = 2`` on the columns ``0 < k_d < N/2``; the
@@ -475,7 +480,7 @@ def _mode_energy(f: SpectralField) -> np.ndarray:
     / 2``, as :func:`inverse_transform` does."""
     g, c, lead = f.grid, f.coeffs, _leading_axes(f.grid)
     edges = c[..., [0, g.N // 2]]
-    partner = np.conj(np.roll(np.flip(edges, axis=lead), 1, axis=lead))  # c_-k
+    partner = np.conj(_negated(edges, lead))
     energy = 2.0 * (c.real**2 + c.imag**2)
     energy[..., [0, g.N // 2]] = np.abs(0.5 * (edges + partner)) ** 2
     return (energy.sum(axis=0) if f.is_vector else energy).ravel()

@@ -412,6 +412,9 @@ def test_bad_step_horizon_or_trials_exits_2(tmp_path, capsys, command, text,
     ("simulate", "N = 16\nT = 0.05\na0_file = no_such.snap\n", "'a0_file'"),
     ("lemmas", "seed = -1\nlemmas = heat\n", "'seed'"),
     ("simulate", "N = 16\nT = 0.05\nmu = nan\n", "mu="),
+    # the default nu = 2 mu overflows: the message names mu, the key that is set
+    ("simulate", "N = 16\nT = 0.05\nmu = 1e308\n",
+     "shear viscosity mu=1e+308 puts the default nu = 2 mu above the float range"),
     ("simulate", "N = 16\nT = 0.05\nnu = nan\n", "nu ="),
     ("simulate", "N = 16\nT = 0.05\ngamma = nan\n", "gamma="),
     ("simulate", "N = 16\nT = 0.05\namp = nan\n", "'amp'"),
@@ -515,7 +518,7 @@ def test_ledger_p_outside_its_range_prints_one_line(tmp_path, capsys, p):
 
 EDGE_BASE = ("N = 16\nT = 0.01\nsnapshots = 3\nnu_list = 1, 10, 100\n"
              "trials = 10\nlemmas = bernstein\n")
-EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "abc"]
+EDGE_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e300", "1e308", "abc"]
 # the stderr line that ends a run with each nonzero exit code
 EDGE_PREFIXES = {2: ("config error: ", "error: "), 3: ("{command}: ",),
                  4: ("sweep: fit failure: ",)}
@@ -526,8 +529,8 @@ EDGE_PREFIXES = {2: ("config error: ", "error: "), 3: ("{command}: ",),
 def test_edge_values_end_on_one_line(tmp_path, capsys, monkeypatch, command, key):
     for value in EDGE_VALUES:
         text = EDGE_BASE + f"{key} = {value}\n"
-        if (key, value) == ("T", "1e300"):  # valid, and would step for minutes
-            assert parse_config(text).T == 1e300
+        if key == "T" and value in ("1e300", "1e308"):  # valid; would step for minutes
+            assert parse_config(text).T == float(value)
             continue
         case = tmp_path / value
         case.mkdir()

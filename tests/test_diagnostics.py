@@ -151,13 +151,13 @@ def test_time_derivatives_read_the_series_lazily():
         assert read == min(i + 2 + (i == 0), len(times))
 
 
-def _paired_runs(N, T, dt, gamma=1.4, nu=3.0, amp=0.2, nsnap=None, a_amp=0.0):
+def _paired_runs(N, T, dt, gamma=1.4, nu=3.0, amp=0.2, nsnap=None, a_amp=0.0, mu=1.0):
     g = make_grid(2, N)
     x, _ = g.meshes()
     a0 = forward_transform(a_amp * np.cos(x) + np.zeros(g.shape), g)
     v0 = taylor_green(g) + forward_transform(
         np.stack([amp * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
-    params = PhysicalParams(mu=1.0, nu=nu, gamma=gamma)
+    params = PhysicalParams(mu=mu, nu=nu, gamma=gamma)
     cfg = StepperConfig(fixed_dt=dt)
     nsnap = nsnap or (int(round(T / dt)) + 1)
     snaps = np.linspace(0.0, T, nsnap)
@@ -334,7 +334,7 @@ def _ledger_reference(traj_cns, traj_ins, params, p, b):
         lo, hi = split_low_high(f, nu, b)
         return besov_norm(lo, il, b), besov_norm(hi, ih, b)
 
-    cols = np.zeros((7, n))
+    cols = np.zeros((6, n))
     for i in range(n):
         ga = gradient(a[i])
         a_lo, a_hi = split(a[i], low2, hp)
@@ -346,11 +346,10 @@ def _ledger_reference(traj_cns, traj_ins, params, p, b):
                       + nu**2 * split(ga, low2_hi, hp)[0] + nu * qu_lo_h
                       + a_hi + nu * qu_hi_h + dmp_lo + dmp_hi)
         cols[2, i] = besov_norm(Pu[i], vp, b)
-        cols[3, i] = besov_norm(Pu_t[i], vp, b) + besov_norm(Pu[i], vp_hi, b)
+        cols[3, i] = besov_norm(Pu_t[i], vp, b) + mu * besov_norm(Pu[i], vp_hi, b)
         cols[4, i] = besov_norm(V[i], vp, b)
-        cols[5, i] = besov_norm(V_t[i], vp, b) + besov_norm(V[i], vp_hi, b)
-        cols[6, i] = besov_norm(V_t[i], vp, b) + mu * besov_norm(V[i], vp_hi, b)
-    M = float(np.max(cols[4]) + _trapezoid_running(times, cols[6])[-1])
+        cols[5, i] = besov_norm(V_t[i], vp, b) + mu * besov_norm(V[i], vp_hi, b)
+    M = float((np.maximum.accumulate(cols[4]) + _trapezoid_running(times, cols[5]))[-1])
     a0_lo, a0_hi = split(a[0], low2, hp)
     q0_lo, q0_hi = split(compressible_project(traj_cns.states[0].v), low2, vp)
     lhs = (a0_lo + nu * split(a[0], low2_mid, hp)[0] + nu * a0_hi + q0_lo + q0_hi
@@ -380,29 +379,27 @@ def test_decompose_series_feeds_every_consumer():
     traj_cns, traj_ins, params = _paired_runs(16, 0.1, 0.005, nu=0.5, nsnap=11)
     b = build_partition(_grid())
     assert b.low_bands(params.nu) == [-1, 0, 1]
-    S = decompose(traj_cns, traj_ins)
-    times = np.asarray(traj_cns.times)
-    assert all(x is st.a for x, st in zip(S.a, traj_cns.states))
-    assert all(x is st.v for x, st in zip(S.V, traj_ins.states))
+    times, rows = decompose(traj_cns, traj_ins)
+    assert np.array_equal(times, traj_cns.times)
+    assert iter(rows) is rows  # streamed: nothing derived is kept
 
-    u, Qu, Pu = (list(series) for series in (S.u, S.Qu, S.Pu))
-    for i, (c, r) in enumerate(zip(traj_cns.states, traj_ins.states)):
-        want = c.v - r.v
-        scale = np.max(np.abs(want.coeffs))
-        assert np.max(np.abs((Pu[i] + Qu[i] - u[i]).coeffs)) <= 1e-15 * scale
-        assert np.max(np.abs(Pu[i].coeffs
-                             - (leray_project(c.v) - r.v).coeffs)) <= 1e-13 * scale
-        assert np.array_equal(u[i].coeffs, want.coeffs)
-        assert np.array_equal(Qu[i].coeffs, compressible_project(want).coeffs)
-        assert np.array_equal(Pu[i].coeffs, leray_project(want).coeffs)
-    for name, series, fields in (("a_t", S.a, S.a), ("V_t", S.V, S.V),
-                                 ("Pu_t", S.Pu, Pu), ("Qu_t", S.Qu, Qu)):
-        want = _time_derivatives(times, fields)
-        assert all(np.array_equal(d.coeffs, y.coeffs) for (_, d), y
-                   in zip(_with_time_derivatives(times, series), want)), name
-
-    # streamed: once the generators are used up nothing derived is kept
-    assert set(vars(S)) == {"times", "a", "V", "v"}
+    u = [c.v - r.v for c, r in zip(traj_cns.states, traj_ins.states)]
+    V = [st.v for st in traj_ins.states]
+    u_t, V_t = _time_derivatives(times, u), _time_derivatives(times, V)
+    rows = list(rows)
+    assert len(rows) == len(times)
+    for i, (c, row) in enumerate(zip(traj_cns.states, rows)):
+        a, Qu, Qu_t, Pu, Pu_t, V_i, V_ti = row
+        assert a is c.a and V_i is V[i]
+        want = (compressible_project(u[i]), compressible_project(u_t[i]),
+                leray_project(u[i]), leray_project(u_t[i]), V_t[i])
+        for name, got, w in zip(("Qu", "Qu_t", "Pu", "Pu_t", "V_t"),
+                                (Qu, Qu_t, Pu, Pu_t, V_ti), want):
+            assert np.array_equal(got.coeffs, w.coeffs), (name, i)
+        scale = np.max(np.abs(u[i].coeffs))
+        assert np.max(np.abs((Pu + Qu - u[i]).coeffs)) <= 1e-15 * scale
+        assert np.max(np.abs(Pu.coeffs
+                             - (leray_project(c.v) - V[i]).coeffs)) <= 1e-13 * scale
 
     # p = 3 tells the low parts' L^2 tables from the high parts' L^p ones
     for p in (2.0, 3.0):
@@ -412,6 +409,19 @@ def test_decompose_series_feeds_every_consumer():
     sups = [besov_norm(leray_project(c.v) - r.v, BesovIndex(0.0, 2, 1), b)
             for c, r in zip(traj_cns.states, traj_ins.states)]
     assert err.err_sup == pytest.approx(max(sups), rel=1e-13)
+
+
+def test_ledger_weights_its_integrals_by_mu():
+    # mu != 1 tells a mu-weighted B^{1+d/p} integral from an unweighted one
+    # in W and Vcal, and M is Vcal at the horizon
+    traj_cns, traj_ins, params = _paired_runs(16, 0.1, 0.005, nu=4.0, mu=0.5,
+                                              nsnap=11, a_amp=0.05)
+    assert traj_cns.terminated == "horizon"
+    b = build_partition(_grid())
+    for p in (2.0, 3.0):
+        _assert_ledger_matches_reference(traj_cns, traj_ins, params, p, b)
+    led = norm_ledger(traj_cns, traj_ins, params, 2.0, b)
+    assert led.Vcal[-1] == led.M
 
 
 def _ledger_peak_bytes(nsnap):

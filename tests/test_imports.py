@@ -1,5 +1,6 @@
-"""No package module keeps an import it never reads; the project has no
-linter dependency, so this test is the check."""
+"""No package module keeps an import it never reads, and no private helper
+that no package module calls; the project has no linter dependency, so
+these tests are the check."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,25 @@ def test_every_imported_name_is_referenced():
     assert len(modules) >= 8
     unused = {p.name: _unused_imports(p) for p in modules}
     assert {name: u for name, u in unused.items() if u} == {}
+
+
+def _private_definitions(tree):
+    """Names of the module-level private functions and classes."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _references(tree):
+    """Every name the module reads, bare or as an attribute."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_private_helper_is_referenced():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    assert len(trees) >= 9
+    used = set().union(*map(_references, trees.values()))
+    orphans = {name: sorted(_private_definitions(tree) - used)
+               for name, tree in trees.items()}
+    assert {name: o for name, o in orphans.items() if o} == {}

@@ -9,6 +9,13 @@ Each map acts on samples: ``(g a)(x) = a(g^-1 x)`` and
 bands are radial and the ``L^p`` norms of vectors take the Euclidean
 magnitude, so the Besov norms, the ledger and the limit error of mapped runs
 are invariant, and so are the ratios a lemma trial measures on mapped fields.
+
+The flow also commutes with the dilation ``x -> m x``, ``t -> m t`` for an
+integer ``m``: ``a(m t, m x), v(m t, m x)`` solves with ``(mu/m, nu/m)`` up
+to ``T/m``, on the sublattice ``m Z^d`` of a grid ``m`` times finer, with
+the same 2/3 box and the same ``dt L(k)``.  At ``p = 2`` in 2D each ledger
+column is invariant, and the limit error's density block scales by
+``m^{d/p}``.
 """
 
 import functools
@@ -22,7 +29,7 @@ from bcns import lemmas
 from bcns.diagnostics import limit_error, norm_ledger
 from bcns.lemmas import random_field
 from bcns.solvers import FlowState, PhysicalParams, StepperConfig, run
-from bcns.spectral import forward_transform, inverse_transform, lp_norm, make_grid
+from bcns.spectral import forward_transform, inverse_transform, lp_norm, make_grid, zeros
 
 PARAMS = PhysicalParams(mu=1.0, nu=10.0, gamma=1.4)
 CONFIG = StepperConfig(fixed_dt=0.005)
@@ -155,6 +162,59 @@ def test_limit_error_is_invariant_under_the_lattice_symmetries(name):
     want = _limit_error()
     assert min(want.values()) > 0.0
     assert _deviation(want, _limit_error(name)) <= 1e-13
+
+
+DILATION = 2
+DILATION_PARAMS = [(1.0, 0.5), (0.5, 4.0)]  # (mu, nu) at m = 1
+
+
+@functools.lru_cache(maxsize=None)
+def _dilated_pair(m, mu, nu, at_rest=False):
+    # the (cns, ins) pair of the data dilated by m on N = 16 m, with (mu, nu),
+    # the step and the horizon divided by m; 11 snapshots
+    grid = make_grid(2, 16 * m)
+    x, y = (m * s for s in grid.meshes())
+    z = np.zeros(grid.shape)
+    v = forward_transform(np.stack([np.cos(x) * np.sin(y) + 0.3 * np.sin(x) + z,
+                                    -np.sin(x) * np.cos(y) + 0.1 * np.sin(x + y) + z]),
+                          grid)
+    a = forward_transform(0.0 * z if at_rest else 0.05 * np.cos(x) + z, grid)
+    params = PhysicalParams(mu=mu / m, nu=nu / m, gamma=1.4)
+    config, horizon = StepperConfig(fixed_dt=0.005 / m), 0.1 / m
+    snaps = np.linspace(0.0, horizon, 11)
+    ins = run(FlowState(zeros(grid), leray_project(v), 0.0), params, config, horizon,
+              system="ins", snap_times=snaps)
+    cns = run(FlowState(a, v, 0.0), params, config, horizon, system="cns",
+              snap_times=snaps)
+    assert cns.terminated == ins.terminated == "horizon" and len(cns.times) == 11
+    return cns, ins, params, build_partition(grid)
+
+
+@pytest.mark.parametrize("mu, nu", DILATION_PARAMS)
+def test_ledger_is_invariant_under_dilation(mu, nu):
+    want, got = ({column: getattr(norm_ledger(cns, ins, params, 2.0, bands), column)
+                  for column in ("X", "Y", "Z", "W", "Vcal", "M")}
+                 for cns, ins, params, bands in (_dilated_pair(m, mu, nu)
+                                                 for m in (1, DILATION)))
+    assert min(np.max(w) for w in want.values()) > 0.0
+    for key, w in want.items():
+        err = np.max(np.abs(np.asarray(got[key]) - w)) / np.max(w)
+        assert err <= 1e-13, (key, err)
+
+
+@pytest.mark.parametrize("mu, nu", DILATION_PARAMS)
+def test_limit_error_blocks_scale_under_dilation(mu, nu):
+    # sqrt(nu/mu) is invariant and B^{d/p} of a(m x) carries m^{d/p}; the
+    # velocity blocks are invariant: B^{-1+d/p} is B^0, the mu-weighted
+    # B^{1+d/p} integral carries m^2 m^-1 m^-1, and the time derivative m m^-1
+    want, got = (vars(limit_error(cns, ins, params, 2.0, bands))
+                 for cns, ins, params, bands in (_dilated_pair(m, mu, nu, at_rest=True)
+                                                 for m in (1, DILATION)))
+    power = {"err_density": DILATION, "err_sup": 1, "err_grad_l1": 1, "err_dt_l1": 1}
+    assert min(want.values()) > 0.0
+    for key, w in want.items():
+        err = abs(got[key] / power[key] - w) / w
+        assert err <= 1e-13, (key, err)
 
 
 def _commutator_ratios(name=None):

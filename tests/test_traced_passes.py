@@ -48,8 +48,9 @@ def test_traced_simulate_projects_each_snapshot_once(tmp_path):
     rc, metrics = _traced("simulate", f"N = 16\nT = 0.1\nsnapshots = {snapshots}\n",
                           tmp_path)
     assert rc == 0
-    # the ledger: one Qu and one Pu per snapshot, and Q v0; the
-    # incompressible run: P v0, and one projected tendency per Heun stage
+    # the ledger: Q of each snapshot's u and of its u_t (Pu = u - Qu), and
+    # Q v0; the incompressible run: P v0, and one projected tendency per
+    # Heun stage
     ledger = 2 * snapshots + 1
     ins = 1 + 2 * metrics["solvers.step_ins.calls"]
     assert metrics["solvers.step_ins.calls"] > 0
