@@ -148,7 +148,9 @@ def _validate(cfg: RunConfig, path: str) -> None:
             raise ConfigError(f"{path}: key '{key}' must {f.metadata['must']}, "
                               f"got {value!r}")
     try:
-        make_grid(cfg.d, cfg.N), cfg.params(), cfg.stepper()
+        make_grid(cfg.d, cfg.N), cfg.stepper()
+        for nu in cfg.nu_list or [cfg.nu]:  # members; nu (or 2 mu) only without them
+            cfg.params(nu)
     except SpectralError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     # the snapshot times as the runs get them (numpy refuses an absurd count here)
@@ -257,10 +259,10 @@ def _output_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    params = cfg.params()
     grid, a0, v0 = initial_data(cfg)
     bands = build_partition(grid)
     outdir = _output_dir(cfg)
-    params = cfg.params()
     stepcfg = cfg.stepper()
     snap_times = np.linspace(0.0, cfg.T, cfg.snapshots)
     runs = {}

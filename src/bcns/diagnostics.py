@@ -71,9 +71,9 @@ def _with_time_derivatives(times, fields):
 
 def decompose(traj_cns: Trajectory, traj_ins: Trajectory) -> tuple:
     """The shared snapshot times of two trajectories and a generator of one
-    row per snapshot, ``(a, Qu, Qu_t, Pu, Pu_t, V, V_t)``.  ``u = v - V``
-    and ``V`` each pass through one :func:`_with_time_derivatives` window;
-    ``u`` and ``u_t`` are projected once each, and ``Pu = u - Qu``."""
+    row per snapshot, ``(a, Qu, Qu_t, Pu, Pu_t)``.  ``u = v - V`` passes
+    through one :func:`_with_time_derivatives` window; ``u`` and ``u_t`` are
+    projected once each, and ``Pu = u - Qu``."""
     ta = np.asarray(traj_cns.times)
     tb = np.asarray(traj_ins.times)
     n = min(len(ta), len(tb))
@@ -83,10 +83,9 @@ def decompose(traj_cns: Trajectory, traj_ins: Trajectory) -> tuple:
 
     def rows():
         u = _with_time_derivatives(times, (c.v - r.v for c, r in zip(cns, ins)))
-        V = _with_time_derivatives(times, (r.v for r in ins))
-        for st, (u_i, u_t), (V_i, V_t) in zip(cns, u, V):
+        for st, (u_i, u_t) in zip(cns, u):
             Qu, Qu_t = compressible_project(u_i), compressible_project(u_t)
-            yield st.a, Qu, Qu_t, u_i - Qu, u_t - Qu_t, V_i, V_t
+            yield st.a, Qu, Qu_t, u_i - Qu, u_t - Qu_t
     return times, rows()
 
 
@@ -139,6 +138,7 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
                       f"[2, {p_cap}) for d={d}; computing anyway",
                       stacklevel=2)
     times, snapshots = decompose(traj_cns, traj_ins)
+    V = _with_time_derivatives(times, (r.v for r in traj_ins.states))
     nu, mu = params.nu, params.mu
 
     low2 = BesovIndex(-1.0 + d / 2.0, 2.0, 1.0)     # low-frequency base index
@@ -163,7 +163,8 @@ def norm_ledger(traj_cns: Trajectory, traj_ins: Trajectory,
                 besov_norm(Pu_t, vp, bands), besov_norm(V_t, vp, bands))
 
     # one pass over the snapshots: (snapshot x series x band) tables
-    lo, hi, pu_t, big_vt = (np.array(c) for c in zip(*(rows(*r) for r in snapshots)))
+    lo, hi, pu_t, big_vt = (np.array(c) for c in zip(*(rows(*r, *V_r)
+                                                        for r, V_r in zip(snapshots, V))))
     a_lo, ga_lo, qu_lo, dmp_lo = lo.swapaxes(0, 1)
     a_hi, qu_hi, dmp_hi, pu, big_v = hi.swapaxes(0, 1)
 
@@ -226,7 +227,7 @@ def limit_error(traj_cns: Trajectory, traj_ins: Trajectory, params: PhysicalPara
     vp_hi = BesovIndex(1.0 + d / p, p, 1.0)
 
     # (snapshot x series x band), one snapshot's fields at a time
-    fields = (f for a, _, _, Pu, Pu_t, _, _ in snapshots for f in (a, Pu, Pu_t))
+    fields = (f for a, _, _, Pu, Pu_t in snapshots for f in (a, Pu, Pu_t))
     table = band_table(fields, p, bands).reshape(len(times), 3, -1)
     dens, pu, pu_t = table.swapaxes(0, 1)
     dens = besov_sum(dens, hp, bands)

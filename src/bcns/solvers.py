@@ -47,7 +47,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .calculus import leray_project
 from .spectral import (
     Grid,
     SpectralField,
@@ -89,11 +88,6 @@ class PhysicalParams:
         if not 1 <= self.gamma < math.inf:
             raise SpectralError(f"pressure exponent gamma={self.gamma} must be >= 1")
 
-    @property
-    def lam(self) -> float:
-        """The volume viscosity ``lambda = nu - 2 mu``."""
-        return self.nu - 2.0 * self.mu
-
 
 def pressure_law(s: np.ndarray, gamma: float) -> np.ndarray:
     """``k(s) = (1+s)^(gamma-1) - 1`` pointwise on samples of the density
@@ -119,15 +113,12 @@ class StepperConfig:
     cfl: float = 0.4
     dt_max: float = 0.05
     vacuum_floor: float = 0.1
-    fixed_dt: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.cfl < 1:
             raise SpectralError(f"cfl={self.cfl} must lie in (0, 1)")
         if not self.dt_max > 0:
             raise SpectralError(f"dt_max={self.dt_max} must be > 0")
-        if self.fixed_dt is not None and not self.fixed_dt > 0:
-            raise SpectralError(f"fixed_dt={self.fixed_dt} must be > 0")
         if not 0 <= self.vacuum_floor < 1:
             raise SpectralError(f"vacuum_floor={self.vacuum_floor} must lie in [0, 1)")
 
@@ -345,8 +336,9 @@ def step_cns(state: FlowState, params: PhysicalParams, dt: float,
 def _ins_tendency(ws: _Workspace, v: np.ndarray, guard=None):
     """Projected transport ``-P((V . grad) V) = -P(Omega V)`` from ``V``, kept
     blocks (``P`` removes ``grad |V|^2/2`` on them): one batched inverse of
-    ``[V, Omega_ij]``, one forward of ``Omega V``, projected as half spectra.
-    ``guard`` as for :func:`_cns_tendency`, on ``V``."""
+    ``[V, Omega_ij]``, one forward of ``Omega V``, projected on the kept block
+    as ``n + ik (ik . n)/max(|k|^2, 1)``.  ``guard`` as for
+    :func:`_cns_tendency`, on ``V``."""
     grid = ws.grid
     d = grid.d
     f = np.empty((d + d * (d - 1) // 2,) + ws.kept_shape, np.complex128)
@@ -356,8 +348,8 @@ def _ins_tendency(ws: _Workspace, v: np.ndarray, guard=None):
     bounds = _guard(s[:d], *guard) if guard else None
     w = np.zeros((d,) + grid.shape)
     _add_omega_v(w, s[d:], s[:d])
-    n = ws.gather(leray_project(SpectralField(grid, ws.scatter(
-        -ws.forward(w, reuse=True)))).coeffs)
+    n, ik = -ws.forward(w, reuse=True), ws.ik_kept
+    n += ik * (reduce(np.add, ik * n) / np.maximum(ws.k2_kept, 1.0))
     return (n, bounds) if guard else n
 
 
@@ -418,8 +410,6 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> SpectralField:
 def _adaptive_dt(grid: Grid, bounds: tuple, params: PhysicalParams,
                  config: StepperConfig) -> float:
     """Time step from the state's bounds (as returned by :func:`_guard`)."""
-    if config.fixed_dt is not None:
-        return config.fixed_dt
     vmax, amax = bounds
     dt_adv = grid.dx / vmax if vmax > 0 else math.inf
     dt_visc = math.inf

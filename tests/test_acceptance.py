@@ -43,6 +43,7 @@ from bcns.spectral import (
     product_dealiased,
     zeros,
 )
+from stepping import steps_set_by
 
 
 def _kinetic_energy(v):
@@ -242,7 +243,9 @@ def _terminal_state(dt, T=0.25, N=32):
     v0 = taylor_green(g) + forward_transform(
         np.stack([0.3 * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
     params = PhysicalParams(mu=1.0, nu=4.0, gamma=1.4)
-    traj = run(FlowState(zeros(g), v0, 0.0), params, StepperConfig(fixed_dt=dt), T)
+    config = StepperConfig(cfl=0.5, dt_max=2 * dt)  # dt_max binds: steps of dt
+    traj = run(FlowState(zeros(g), v0, 0.0), params, config, T)
+    assert steps_set_by("dt_max", traj, params, config) == round(T / dt)
     return traj.final()
 
 

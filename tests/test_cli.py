@@ -30,7 +30,7 @@ from bcns.lemmas import (
     check_oscillatory_scaling,
     oscillatory_norm,
 )
-from bcns.solvers import taylor_green
+from bcns.solvers import StepperConfig, taylor_green
 from bcns.spectral import SpectralField, forward_transform, make_grid
 
 
@@ -54,12 +54,20 @@ def test_parse_config_defaults_and_overrides():
     assert cfg.N == 32 and cfg.mu == 0.5 and cfg.params().nu == 4.0
     assert cfg.d == 2 and cfg.gamma == 2.0
     params = parse_config("mu = 0.5\n").params()  # nu unset: 2 mu, lambda = 0
-    assert params.nu == 1.0 and params.lam == 0.0
+    assert params.nu == 1.0
 
 
 def test_config_keys_are_the_fields_without_an_alias():
     assert set(CONFIG_KEYS) == {f.name for f in fields(RunConfig)}
     assert len(CONFIG_KEYS) == 22
+
+
+def test_stepper_config_is_the_three_stepping_keys():
+    # no field without a key: the stepping a test drives is the stepping a config sets
+    names = {f.name for f in fields(StepperConfig)}
+    assert names == {"cfl", "dt_max", "vacuum_floor"} and names <= set(CONFIG_KEYS)
+    cfg = parse_config("cfl = 0.3\ndt_max = 0.02\nvacuum_floor = 0.2\n")
+    assert cfg.stepper() == StepperConfig(cfl=0.3, dt_max=0.02, vacuum_floor=0.2)
 
 
 def test_lambda_key_is_unknown(tmp_path, capsys):
@@ -549,6 +557,27 @@ def test_edge_values_end_on_one_line(tmp_path, capsys, monkeypatch, command, key
             assert lines and lines[-1].startswith(prefixes), where
         else:
             assert all(ln.startswith(f"{command}: ") for ln in lines), where
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+def test_the_default_nu_is_refused_only_where_it_is_read(tmp_path, capsys, command):
+    # the sweep's members take nu from nu_list; simulate reads the default 2 mu
+    text = EDGE_BASE + "mu = 1e308\n"
+    assert parse_config(text).nu_list == [1.0, 10.0, 100.0]
+    (tmp_path / "edge.cfg").write_text(text)
+    rc, err, caught = _main_recording_warnings(
+        capsys, [command, "--config", str(tmp_path / "edge.cfg"), "--out", str(tmp_path / "o")])
+    assert caught == [] and "Traceback" not in err
+    if command == "sweep":
+        assert rc == 3
+        assert err.splitlines() == [
+            *(f"sweep: nu={nu} excluded (blowup:non-finite field values)"
+              for nu in (1, 10, 100)),
+            "sweep: every member terminated by blow-up; no rate fit"]
+    else:
+        assert rc == 2 and not (tmp_path / "o").exists()
+        assert err.splitlines() == ["error: shear viscosity mu=1e+308 puts the default "
+                                    "nu = 2 mu above the float range; set nu"]
 
 
 def test_norms_zero_field(tmp_path, capsys):

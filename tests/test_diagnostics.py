@@ -20,7 +20,6 @@ from bcns.solvers import (
     PhysicalParams,
     StepperConfig,
     Trajectory,
-    run,
     taylor_green,
 )
 from bcns.spectral import (
@@ -31,6 +30,7 @@ from bcns.spectral import (
     make_grid,
     zeros,
 )
+from stepping import assert_equal_steps, stepped_run
 
 
 def _grid(N=16):
@@ -158,13 +158,15 @@ def _paired_runs(N, T, dt, gamma=1.4, nu=3.0, amp=0.2, nsnap=None, a_amp=0.0, mu
     v0 = taylor_green(g) + forward_transform(
         np.stack([amp * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
     params = PhysicalParams(mu=mu, nu=nu, gamma=gamma)
-    cfg = StepperConfig(fixed_dt=dt)
+    cfg = StepperConfig(cfl=0.5, dt_max=2 * dt)  # dt_max binds: steps of dt
     nsnap = nsnap or (int(round(T / dt)) + 1)
     snaps = np.linspace(0.0, T, nsnap)
-    traj_ins = run(FlowState(zeros(g), leray_project(v0), 0.0), params, cfg, T,
-                   system="ins", snap_times=snaps)
-    traj_cns = run(FlowState(a0, v0, 0.0), params, cfg, T,
-                   system="cns", snap_times=snaps)
+    traj_ins, ins_dts = stepped_run(FlowState(zeros(g), leray_project(v0), 0.0), params,
+                                    cfg, T, system="ins", snap_times=snaps)
+    traj_cns, cns_dts = stepped_run(FlowState(a0, v0, 0.0), params, cfg, T,
+                                    system="cns", snap_times=snaps)
+    for dts in (ins_dts, cns_dts):
+        assert_equal_steps(dts, dt, round(T / dt))
     return traj_cns, traj_ins, params
 
 
@@ -186,11 +188,12 @@ def test_norm_ledger_udiff_zero():
     g = _grid()
     b = build_partition(g)
     params = PhysicalParams(mu=1.0, nu=2.0)
-    cfg = StepperConfig(fixed_dt=0.01)
+    cfg = StepperConfig(cfl=0.5, dt_max=0.02)
     T = 0.1
     snaps = np.linspace(0.0, T, 11)
-    traj = run(FlowState(zeros(g), taylor_green(g), 0.0), params, cfg, T,
-               system="ins", snap_times=snaps)
+    traj, dts = stepped_run(FlowState(zeros(g), taylor_green(g), 0.0), params, cfg, T,
+                            system="ins", snap_times=snaps)
+    assert_equal_steps(dts, 0.01, 10)
     led = norm_ledger(traj, traj, params, 2.0, b)
     assert np.max(led.X) <= 1e-13
     assert np.max(led.Y) <= 1e-12
@@ -387,9 +390,11 @@ def test_decompose_series_feeds_every_consumer():
     V = [st.v for st in traj_ins.states]
     u_t, V_t = _time_derivatives(times, u), _time_derivatives(times, V)
     rows = list(rows)
-    assert len(rows) == len(times)
-    for i, (c, row) in enumerate(zip(traj_cns.states, rows)):
-        a, Qu, Qu_t, Pu, Pu_t, V_i, V_ti = row
+    # the ledger's window of the reference, beside the rows
+    V_window = list(_with_time_derivatives(times, (r.v for r in traj_ins.states)))
+    assert len(rows) == len(V_window) == len(times)
+    for i, (c, row, (V_i, V_ti)) in enumerate(zip(traj_cns.states, rows, V_window)):
+        a, Qu, Qu_t, Pu, Pu_t = row
         assert a is c.a and V_i is V[i]
         want = (compressible_project(u[i]), compressible_project(u_t[i]),
                 leray_project(u[i]), leray_project(u_t[i]), V_t[i])

@@ -56,6 +56,7 @@ from bcns.spectral import (
     product_dealiased,
     zeros,
 )
+from stepping import steps_set_by, stepped_run
 
 
 def _grid(N=16):
@@ -87,7 +88,7 @@ def _linear_flow(monkeypatch):
 
 def test_params_validation():
     p = PhysicalParams(mu=1.0, nu=5.0, gamma=1.4)
-    assert p.nu == 5.0 and p.lam == 3.0
+    assert (p.mu, p.nu, p.gamma) == (1.0, 5.0, 1.4)
     with pytest.raises(SpectralError):
         PhysicalParams(mu=-1.0, nu=-2.0)
     with pytest.raises(SpectralError):
@@ -101,13 +102,13 @@ def test_params_validation():
         with pytest.raises(SpectralError):
             PhysicalParams(**kwargs)
     q = PhysicalParams(mu=1.0, nu=40.0)
-    assert q.nu == 40.0 and q.lam == 38.0
+    assert q.nu == 40.0
 
 
 def test_params_store_the_total_viscosity_exactly():
     # 0.3 - 2 + 2 is 0.30000000000000004: nu is stored, not rebuilt from lambda
     p = PhysicalParams(mu=1.0, nu=0.3)
-    assert p.nu == 0.3 and p.lam == 0.3 - 2.0
+    assert p.nu == 0.3
     assert [f.name for f in fields(PhysicalParams)] == ["mu", "nu", "gamma"]
 
 
@@ -116,12 +117,10 @@ def test_stepper_config_validation():
         StepperConfig(cfl=1.5)
     # a step that cannot be positive would leave run() stepping forever
     for field, value in (("dt_max", 0.0), ("dt_max", -0.1), ("dt_max", math.nan),
-                         ("fixed_dt", 0.0), ("fixed_dt", -1e-3),
                          ("vacuum_floor", math.nan), ("vacuum_floor", 1.0),
                          ("vacuum_floor", -0.1)):
         with pytest.raises(SpectralError, match=field):
             StepperConfig(**{field: value})
-    assert StepperConfig(fixed_dt=1e-3).fixed_dt == 1e-3
 
 
 def test_pressure_law_exact_cases():
@@ -485,8 +484,8 @@ def test_run_drops_non_finite_data_outside_the_box():
     c = taylor_green(g).coeffs.copy()
     c[0, 0, -1] = np.nan  # the Nyquist column, outside the box
     traj = run(FlowState(zeros(g), SpectralField(g, c), 0.0),
-               PhysicalParams(mu=1.0, nu=2.0), StepperConfig(fixed_dt=0.01), 0.02)
-    assert traj.terminated == "horizon"
+               PhysicalParams(mu=1.0, nu=2.0), StepperConfig(cfl=0.5, dt_max=0.02), 0.02)
+    assert traj.terminated == "horizon" and traj.times == [0.0, 0.01, 0.02]  # cfl dt_max
     assert all(np.isfinite(st.v.coeffs).all() for st in traj.states)
 
 
@@ -554,10 +553,10 @@ def _terminal_state(dt, T=0.25, N=32):
     v0 = taylor_green(g) + forward_transform(
         np.stack([0.3 * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
     params = PhysicalParams(mu=1.0, nu=4.0, gamma=1.4)
-    cfg = StepperConfig(fixed_dt=dt)
+    cfg = StepperConfig(cfl=0.5, dt_max=2 * dt)  # dt_max binds: steps of dt
     traj = run(FlowState(zeros(g), v0, 0.0), params, cfg, T)
-    s = traj.final()
-    return s
+    assert steps_set_by("dt_max", traj, params, cfg) == round(T / dt)
+    return traj.final()
 
 
 def test_self_convergence_second_order():
@@ -580,13 +579,12 @@ def test_linearized_effective_velocity_high_band_decay(monkeypatch):
         np.stack([0.01 * np.sin(4 * x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
     params = PhysicalParams(mu=1.0, nu=8.0)  # bands of |k|=4 all high
     _linear_flow(monkeypatch)
-    cfg = StepperConfig(fixed_dt=0.005)
     st = FlowState(a0, v0, 0.0)
     norms = []
     for _ in range(40):
         w = _effective_velocity(st.a, compressible_project(st.v), params.nu)
         norms.append(lp_norm(w, 2))
-        st = step_cns(st, params, 0.005, cfg)
+        st = step_cns(st, params, 0.005)
     diffs = np.diff(norms)
     assert np.all(diffs <= 1e-14)
 
@@ -626,7 +624,7 @@ def _product_chain_cns_tendency(a, v, params):
     a_s = inverse_transform(dealias(a))
     dens = 1.0 + a_s
     ratio = forward_transform(a_s / dens, grid)
-    visc = laplacian(v) * params.mu + gradient(divergence(v)) * (params.mu + params.lam)
+    visc = laplacian(v) * params.mu + gradient(divergence(v)) * (params.nu - params.mu)
     nv = nv - product_dealiased(ratio, visc)
     if params.gamma != 2.0:
         if params.gamma == 1.0:
@@ -733,6 +731,22 @@ def test_ins_tendency_matches_projected_advection(d, N):
     assert _rel_diff(got, want) <= 1e-13
 
 
+@pytest.mark.parametrize("d,N", [(2, 16), (2, 64), (3, 16), (3, 32)])
+def test_ins_tendency_projects_on_the_kept_block_as_leray_project(d, N):
+    # oracle: the unprojected transport -Omega V, expanded to the half
+    # spectrum and projected by leray_project there
+    _, v = _random_state(d, N)
+    ws = _workspace(v.grid)
+    x = ws.gather(leray_project(v).coeffs)
+    f = np.concatenate([x, np.empty((d * (d - 1) // 2,) + ws.kept_shape, x.dtype)])
+    bcns.solvers._omega_rows(ws.ik_kept, x, f[d:])
+    s = ws.inverse(f)
+    w = np.zeros((d,) + v.grid.shape)
+    bcns.solvers._add_omega_v(w, s[d:], s[:d])
+    want = ws.gather(leray_project(SpectralField(v.grid, ws.scatter(-ws.forward(w)))).coeffs)
+    assert np.array_equal(_ins_tendency(ws, x), want)
+
+
 def _whole_lattice_step_cns(state, params, dt):
     # oracle: the Heun step with the linear flow applied on the whole
     # lattice, the state and each tendency expanded to the whole lattice
@@ -769,7 +783,7 @@ def _whole_lattice_step_cns(state, params, dt):
         divv = sum(ik[j] * vh[j] for j in range(d))
         fields = [ah, *vh] + [ik[j] * vh[i] for i in range(d) for j in range(d)]
         fields += [-params.mu * _half(k2) * vh[i]
-                   + (params.mu + params.lam) * ik[i] * divv for i in range(d)]
+                   + (params.nu - params.mu) * ik[i] * divv for i in range(d)]
         fields += [ik[i] * ah for i in range(d)]
         s = np.fft.irfftn(np.stack(fields), s=g.shape, axes=axes, norm="forward")
         a_s, v_s = s[0], s[1:1 + d]
@@ -968,23 +982,27 @@ def test_propagator_is_the_acoustic_pair_plus_transverse_decay(d, N):
 
 
 def test_run_guards_the_state_of_its_last_step(monkeypatch):
-    # one step rarefies a = 0 through the vacuum floor (the linear step and
-    # the full one alike); the state after the last step must end the run as
-    # a blow-up
+    # a horizon of one CFL step at the speed 10; the step rarefies a = 0
+    # through a raised vacuum floor (the linear step and the full one
+    # alike), and the state after the last step must end the run as a blow-up
     g = _grid()
     x, _ = g.meshes()
     v0 = forward_transform(
         np.stack([-10.0 * np.sin(x) + np.zeros(g.shape), np.zeros(g.shape)]), g)
+    params, cfg = PhysicalParams(mu=1.0, nu=2.0), StepperConfig(vacuum_floor=0.9)
+    horizon = cfg.cfl * g.dx / 10.0
     for linear in (True, False):
         with monkeypatch.context() as m:
             if linear:
                 _linear_flow(m)
-            traj = run(FlowState(zeros(g), v0, 0.0), PhysicalParams(mu=1.0, nu=2.0),
-                       StepperConfig(fixed_dt=0.2), 0.2)
+            traj, dts = stepped_run(FlowState(zeros(g), v0, 0.0), params, cfg, horizon)
         assert traj.terminated == "blowup"
         assert traj.times == [0.0]  # the bad state is not recorded
-        density = "-6.375e-01" if linear else "-2.166e+00"
-        assert traj.events[-2] == (0.2, f"blowup:density {density} at vacuum guard")
+        assert dts.tolist() == [pytest.approx(horizon, rel=1e-15)]
+        # linear: a = 10 dt exp(-dt) cos x after the step, nu |k| = 2 at |k| = 1
+        density = (f"{1.0 - 10.0 * dts[0] * math.exp(-dts[0]):.3e}" if linear
+                   else "8.655e-01")
+        assert traj.events[-2] == (dts[0], f"blowup:density {density} at vacuum guard")
 
 
 def _kept(state, system):

@@ -13,8 +13,10 @@ are invariant, and so are the ratios a lemma trial measures on mapped fields.
 The flow also commutes with the dilation ``x -> m x``, ``t -> m t`` for an
 integer ``m``: ``a(m t, m x), v(m t, m x)`` solves with ``(mu/m, nu/m)`` up
 to ``T/m``, on the sublattice ``m Z^d`` of a grid ``m`` times finer, with
-the same 2/3 box and the same ``dt L(k)``.  At ``p = 2`` in 2D each ledger
-column is invariant, and the limit error's density block scales by
+the same 2/3 box and the same ``dt L(k)``.  So does ``run``: every ``dt``
+rule (``dt_max/m``, the CFL bound on ``dx/m``, and ``dt_visc`` of ``nu/m``
+on ``m^2 |k|^2``) gives the step divided by ``m``.  At ``p = 2`` in 2D each
+ledger column is invariant, and the limit error's density block scales by
 ``m^{d/p}``.
 """
 
@@ -30,9 +32,10 @@ from bcns.diagnostics import limit_error, norm_ledger
 from bcns.lemmas import random_field
 from bcns.solvers import FlowState, PhysicalParams, StepperConfig, run
 from bcns.spectral import forward_transform, inverse_transform, lp_norm, make_grid, zeros
+from stepping import assert_equal_steps, steps_set_by, stepped_run
 
-PARAMS = PhysicalParams(mu=1.0, nu=10.0, gamma=1.4)
-CONFIG = StepperConfig(fixed_dt=0.005)
+PARAMS = PhysicalParams(mu=1.0, nu=2.0, gamma=1.4)
+CONFIG = StepperConfig(cfl=0.5, dt_max=0.01)  # dt_max binds: 20 steps of 0.005
 HORIZON = 20 * 0.005
 GRIDS = [(2, 32), (3, 16)]
 
@@ -97,7 +100,7 @@ def _trajectory(d, N, system, name=None, at_rest=False):
         state = _mapped(state, _map(name, d))
     traj = run(state, PARAMS, CONFIG, HORIZON, system=system)
     assert traj.terminated == "horizon"
-    assert len(traj.times) == 21
+    assert steps_set_by("dt_max", traj, PARAMS, CONFIG, system) == 20
     return traj
 
 
@@ -168,26 +171,38 @@ DILATION = 2
 DILATION_PARAMS = [(1.0, 0.5), (0.5, 4.0)]  # (mu, nu) at m = 1
 
 
+def _dilated_state(d, m, system="cns", amp=1.0, a_amp=0.05):
+    # the data dilated by m on N = 16 m, a_0 = a_amp cos x (0 for "ins")
+    grid = make_grid(d, 16 * m)
+    x, y, *zs = (m * s for s in grid.meshes())
+    z = np.zeros(grid.shape)
+    if d == 2:
+        v = [np.cos(x) * np.sin(y) + 0.3 * np.sin(x), -np.sin(x) * np.cos(y)
+             + 0.1 * np.sin(x + y)]
+    else:
+        v = [np.sin(x) * np.cos(y) * np.cos(zs[0]) + 0.3 * np.sin(x),
+             -np.cos(x) * np.sin(y) * np.cos(zs[0]), 0.2 * np.sin(zs[0] + x)]
+    v = forward_transform(np.stack([amp * c + z for c in v]), grid)
+    if system == "ins":
+        return FlowState(zeros(grid), leray_project(v), 0.0)
+    return FlowState(forward_transform(a_amp * np.cos(x) + z, grid), v, 0.0)
+
+
 @functools.lru_cache(maxsize=None)
 def _dilated_pair(m, mu, nu, at_rest=False):
-    # the (cns, ins) pair of the data dilated by m on N = 16 m, with (mu, nu),
-    # the step and the horizon divided by m; 11 snapshots
-    grid = make_grid(2, 16 * m)
-    x, y = (m * s for s in grid.meshes())
-    z = np.zeros(grid.shape)
-    v = forward_transform(np.stack([np.cos(x) * np.sin(y) + 0.3 * np.sin(x) + z,
-                                    -np.sin(x) * np.cos(y) + 0.1 * np.sin(x + y) + z]),
-                          grid)
-    a = forward_transform(0.0 * z if at_rest else 0.05 * np.cos(x) + z, grid)
+    # the (cns, ins) pair of the 2D data dilated by m, with (mu, nu), dt_max
+    # and the horizon divided by m; 11 snapshots, two dt_max steps apart
     params = PhysicalParams(mu=mu / m, nu=nu / m, gamma=1.4)
-    config, horizon = StepperConfig(fixed_dt=0.005 / m), 0.1 / m
+    config, horizon = StepperConfig(cfl=0.5, dt_max=0.01 / m), 0.1 / m
     snaps = np.linspace(0.0, horizon, 11)
-    ins = run(FlowState(zeros(grid), leray_project(v), 0.0), params, config, horizon,
-              system="ins", snap_times=snaps)
-    cns = run(FlowState(a, v, 0.0), params, config, horizon, system="cns",
-              snap_times=snaps)
+    ins, ins_dts = stepped_run(_dilated_state(2, m, "ins"), params, config, horizon,
+                               system="ins", snap_times=snaps)
+    cns, cns_dts = stepped_run(_dilated_state(2, m, a_amp=0.0 if at_rest else 0.05),
+                               params, config, horizon, system="cns", snap_times=snaps)
     assert cns.terminated == ins.terminated == "horizon" and len(cns.times) == 11
-    return cns, ins, params, build_partition(grid)
+    for dts in (ins_dts, cns_dts):
+        assert_equal_steps(dts, 0.005 / m, 20)
+    return cns, ins, params, build_partition(cns.final().v.grid)
 
 
 @pytest.mark.parametrize("mu, nu", DILATION_PARAMS)
@@ -215,6 +230,47 @@ def test_limit_error_blocks_scale_under_dilation(mu, nu):
     for key, w in want.items():
         err = abs(got[key] / power[key] - w) / w
         assert err <= 1e-13, (key, err)
+
+
+# run's dt rules bound in turn: (system, d, rule, velocity amplitude, a_0
+# amplitude, nu, dt_max, horizon) at m = 1, mu = 1
+RUN_DILATION = {
+    "cns-2d-dt_max": ("cns", 2, "dt_max", 1.0, 0.05, 0.5, 0.01, 0.1),
+    "cns-2d-cfl": ("cns", 2, "cfl", 10.0, 0.0, 0.5, 0.1, 0.1),
+    "cns-2d-dt_visc": ("cns", 2, "dt_visc", 1.0, 0.3, 10.0, 0.05, 0.05),
+    "ins-2d-dt_max": ("ins", 2, "dt_max", 1.0, 0.0, 0.5, 0.01, 0.1),
+    "ins-2d-cfl": ("ins", 2, "cfl", 10.0, 0.0, 0.5, 0.1, 0.1),
+    # N = 16 -> 32: N = 8 -> 16 does not map the 2/3 box onto itself
+    "cns-3d-dt_visc": ("cns", 3, "dt_visc", 1.0, 0.3, 10.0, 0.05, 0.03),
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_DILATION))
+def test_run_is_covariant_under_dilation(case):
+    # the dilated run takes as many steps, each set by the same rule, at m
+    # times smaller times, and its samples tile the coarse run's m^d times
+    system, d, rule, amp, a_amp, nu, dt_max, horizon = RUN_DILATION[case]
+    runs = []
+    for m in (1, DILATION):
+        params = PhysicalParams(mu=1.0 / m, nu=nu / m, gamma=1.4)
+        config = StepperConfig(cfl=0.5, dt_max=dt_max / m)
+        traj = run(_dilated_state(d, m, system, amp, a_amp), params, config, horizon / m,
+                   system=system)
+        assert traj.terminated == "horizon"
+        runs.append((traj, steps_set_by(rule, traj, params, config, system)))
+    (want, steps), (got, got_steps) = runs
+    assert got_steps == steps >= 5
+    times = np.asarray(got.times) * DILATION
+    if rule == "dt_max":  # halved steps, exactly
+        assert times.tolist() == want.times
+    else:
+        np.testing.assert_allclose(times, want.times, rtol=1e-13, atol=0)
+    for w_state, g_state in zip(want.states, got.states, strict=True):
+        for field in ("v",) if system == "ins" else ("a", "v"):
+            w = inverse_transform(getattr(w_state, field))
+            x = inverse_transform(getattr(g_state, field))
+            err = np.max(np.abs(x - np.tile(w, (DILATION,) * d)))
+            assert err <= 1e-13 * np.max(np.abs(w)), (field, w_state.t, err)
 
 
 def _commutator_ratios(name=None):
