@@ -50,7 +50,6 @@ from .spectral import (
     gradient,
     inv_laplacian,
     inverse_transform,
-    laplacian,
     lp_norm,
     make_grid,
     product_dealiased,

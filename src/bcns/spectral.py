@@ -256,11 +256,6 @@ def divergence(v: SpectralField) -> SpectralField:
     return SpectralField(v.grid, out)
 
 
-def laplacian(f: SpectralField) -> SpectralField:
-    """Laplacian (componentwise for vectors): multiplication by ``-|k|^2``."""
-    return _apply_multiplier(f, -f.grid.k2)
-
-
 def inv_laplacian(f: SpectralField) -> SpectralField:
     """Inverse of ``-Laplacian``: divide by ``|k|^2``, zero mode set to 0.
 
@@ -437,8 +432,9 @@ def lp_norm(f: SpectralField, p: float) -> float:
     """Mean-value normalized ``L^p`` norm; vectors use the pointwise
     Euclidean magnitude, ``p = inf`` gives the max."""
     c = inverse_transform(f)
-    s = np.sqrt(np.add.reduce(c * c, axis=0)) if f.is_vector else c if p == 2 else np.abs(c)
-    r = _power_mean(s, p)
+    with np.errstate(over="ignore"):  # a square or power out of range is redone
+        s = np.sqrt(np.add.reduce(c * c, axis=0)) if f.is_vector else c if p == 2 else np.abs(c)
+        r = _power_mean(s, p)
     if _TINY <= (r * r if f.is_vector else r) < math.inf:
         return r
     # a mean of powers or a squared magnitude outside the normal floats: redo
@@ -463,8 +459,7 @@ def _power_mean(s: np.ndarray, p: float) -> float:
     if p == 2:  # |s|^2 without the abs, the same bits; np.mean, bare
         m = np.add.reduce(s * s, axis=None) / s.size
     else:
-        with np.errstate(over="ignore"):  # an inf mean is redone
-            m = np.add.reduce(s**p, axis=None) / s.size
+        m = np.add.reduce(s**p, axis=None) / s.size
     return float(m ** (1.0 / p)) if _TINY <= m < math.inf else math.nan
 
 

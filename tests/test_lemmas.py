@@ -5,6 +5,7 @@ import pytest
 
 from bcns.bands import BesovIndex, besov_norm, build_partition
 from bcns.lemmas import (
+    _besov,
     check_bernstein,
     check_commutators,
     check_composition,
@@ -35,6 +36,29 @@ def test_random_field_seeded_and_mean_free():
     nyquist, scale = g.N // 2, np.max(np.abs(f1.coeffs))  # no Nyquist content
     assert np.max(np.abs(f1.coeffs[nyquist])) <= 1e-15 * scale
     assert np.max(np.abs(f1.coeffs[:, nyquist])) <= 1e-15 * scale
+
+
+# every Besov index the suite measures in
+SUITE_INDICES = [BesovIndex(s, 2, 1) for s in (0.0, 0.5, 1.0)] + [
+    BesovIndex(-0.25, 2, math.inf), BesovIndex(1.5, 1, 1),
+    BesovIndex(-0.5, 1, math.inf), BesovIndex(-0.5, 4, 1)]
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("N", [16, 32, 64])
+def test_suite_besov_norms_are_besov_norm(N, vector):
+    # by Parseval at p = 2, to roundoff; band by band at p = 1 and 4, the same
+    # bits; a zero field reads exactly 0 (composition's gamma = 1 verdict)
+    g = make_grid(2, N)
+    b = build_partition(g)
+    f = random_field(g, np.random.default_rng(N), vector=vector)
+    for idx in SUITE_INDICES:
+        want = besov_norm(f, idx, b)
+        if idx.p == 2:
+            assert _besov(f, idx, b) == pytest.approx(want, rel=1e-13, abs=0)
+        else:
+            assert _besov(f, idx, b) == want
+        assert _besov(f * 0.0, idx, b) == 0.0
 
 
 def test_bernstein_annulus_exact_and_stable():
